@@ -108,8 +108,7 @@ func main() {
 	backend := flag.String("backend", alignsvc.BackendStriped,
 		"default execution backend: "+strings.Join(alignsvc.BackendNames(), ", "))
 	opsAddr := flag.String("ops-addr", "", "ops listen address for /metricsz, /tracez and pprof (empty = disabled)")
-	workers := flag.Int("workers", 0, "service worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "service queue depth (0 = workers)")
+	workers := flag.Int("workers", 0, "batches the service runs at once (0 = GOMAXPROCS)")
 	lanes := flag.Int("lanes", 32, "bitwise lane width: 32 or 64")
 	maxAttempts := flag.Int("max-attempts", 3, "attempts per GPU tier before degrading")
 	validate := flag.Float64("validate", 0.05, "fraction of scores re-checked on the CPU (>=1 checks all)")
@@ -270,7 +269,6 @@ func main() {
 		Fleet:           fl,
 		Lanes:           *lanes,
 		Workers:         *workers,
-		Queue:           *queue,
 		MaxAttempts:     *maxAttempts,
 		ValidateFrac:    *validate,
 		BaseBackoff:     *baseBackoff,

@@ -3,12 +3,14 @@ package alignsvc
 // This file is the pluggable-backend seam: every engine the service can
 // serve scores with — the two simulated GPU pipelines, the native striped
 // CPU engine and the scalar reference — sits behind the Backend interface,
-// so the degradation ladder, the fleet sharding, the retry machinery, the
-// metrics and the benchmarks all select engines through one seam instead of
-// hard-coded tier switches.
+// so the degradation ladder, the metrics and the benchmarks all select
+// engines through one seam instead of hard-coded tier switches. The exact
+// engines live here; the simulated ones, with their fault-tolerance ladder,
+// live in sim.go.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/cudasim"
@@ -40,169 +42,75 @@ func BackendNames() []string {
 	return []string{BackendStriped, BackendBitwiseSim, BackendWordwiseSim, BackendCPURef}
 }
 
-// backendTier maps a backend name to the ladder rung that serves it.
-func backendTier(name string) (Tier, error) {
-	switch name {
-	case BackendBitwiseSim, "":
-		return TierBitwise, nil
-	case BackendWordwiseSim:
-		return TierWordwise, nil
-	case BackendStriped:
-		return TierStriped, nil
-	case BackendCPURef:
-		return TierCPU, nil
-	}
-	return 0, fmt.Errorf("alignsvc: unknown backend %q", name)
-}
-
-// Capabilities describes what a backend guarantees.
-type Capabilities struct {
-	// Exact backends produce byte-exact scores by construction; the service
-	// skips sampling validation for them (there is no wrong answer to
-	// catch, only errors).
-	Exact bool
-	// Simulated backends run on the simulated GPU stack: fault injection,
-	// device specs and the fleet scheduler apply to them.
-	Simulated bool
-}
-
-// BatchOpts carries per-attempt context into a backend.
+// BatchOpts carries per-batch context into a backend.
 type BatchOpts struct {
-	// Seq is the service-wide batch sequence number, Attempt the attempt
-	// ordinal within the batch; together they derive the deterministic
-	// fault stream for simulated backends.
+	// Seq is the service-wide batch sequence number, Attempt the first
+	// attempt ordinal; together they derive the deterministic fault streams
+	// of simulated backends.
 	Seq, Attempt uint64
 }
 
-// BatchStats is what one backend attempt reports back.
+// BatchStats is what one backend call reports back. The exact engines make
+// one attempt and report nothing; the service records that attempt itself.
 type BatchStats struct {
-	// Faults counts the faults injected during the attempt (simulated
-	// backends only).
+	// Attempts lists every attempt the call made, in order.
+	Attempts []Attempt
+	// Retries counts same-tier re-runs after a failed attempt.
+	Retries int
+	// Validated counts pairs re-scored on the CPU reference.
+	Validated int
+	// Faults counts the faults injected across the call's attempts.
 	Faults cudasim.FaultCounts
 }
 
+// ErrBreakerOpen is what a backend returns when its circuit breaker refuses
+// the batch: the ladder records the rung in Report.Skips and moves on
+// without counting a fallback.
+var ErrBreakerOpen = errors.New("alignsvc: breaker open")
+
 // Backend is one scoring engine behind the service. AlignBatch scores every
-// pair or fails as a unit; scores must be exact when err is nil unless the
-// service's validation (for non-Exact backends) is expected to catch
-// device-induced corruption.
+// pair or fails as a unit. When err is nil the scores are exact: the native
+// and reference engines by construction, the simulated ones up to what their
+// sampled validation catches (ValidateFrac >= 1 checks every score).
 type Backend interface {
 	Name() string
-	Capabilities() Capabilities
 	AlignBatch(ctx context.Context, pairs []dna.Pair, opts BatchOpts) ([]int, BatchStats, error)
 }
 
-// NewBackend constructs a standalone backend: no worker pool, no retry
-// ladder, no fleet, no fault injection — just the engine. The benchmark
-// harness and the cross-backend exactness oracle use it to measure and
-// compare engines in isolation. cfg supplies the scoring scheme (and, for
-// the simulated backends, the device model); lanes selects the bitwise
+// NewBackend constructs a standalone backend: no admission, no retry
+// ladder, no breaker, no fleet, no fault injection — just the engine. The
+// benchmark harness and the cross-backend exactness oracle use it to measure
+// and compare engines in isolation. cfg supplies the scoring scheme (and,
+// for the simulated backends, the device model); lanes selects the bitwise
 // width as in Config.Lanes.
 func NewBackend(name string, cfg pipeline.Config, lanes int) (Backend, error) {
-	if lanes == 0 {
-		lanes = 32
-	}
-	scoring := func() swa.Scoring {
-		if cfg.Scoring == (swa.Scoring{}) {
-			return swa.PaperScoring
-		}
-		return cfg.Scoring
-	}
+	c := Config{Pipeline: cfg, Lanes: lanes, Metrics: cfg.Metrics,
+		MaxAttempts: 1, ValidateFrac: -1, BreakerFailures: -1}.withDefaults()
 	switch name {
-	case BackendBitwiseSim, BackendWordwiseSim:
-		tier := TierBitwise
-		if name == BackendWordwiseSim {
-			tier = TierWordwise
-		}
-		return &simBackend{name: name, tier: tier, cfg: cfg, lanes: lanes}, nil
+	case BackendBitwiseSim:
+		return &simBackend{name: name, tier: TierBitwise, rt: newSimRuntime(c, nil)}, nil
+	case BackendWordwiseSim:
+		return &simBackend{name: name, tier: TierWordwise, rt: newSimRuntime(c, nil)}, nil
 	case BackendStriped:
-		return &stripedBackend{eng: striped.New(striped.Config{}), scoring: scoring}, nil
+		return &stripedBackend{eng: striped.New(striped.Config{}), sc: c.scoring()}, nil
 	case BackendCPURef:
-		return &cpuBackend{scoring: scoring}, nil
+		return &cpuBackend{sc: c.scoring()}, nil
 	}
 	return nil, fmt.Errorf("alignsvc: unknown backend %q", name)
 }
 
-// runPipeline invokes the simulated pipeline for a tier with a fully
-// prepared config.
-func runPipeline(ctx context.Context, tier Tier, pairs []dna.Pair, cfg pipeline.Config, lanes int) (*pipeline.Result, error) {
-	switch tier {
-	case TierBitwise:
-		if lanes == 64 {
-			return pipeline.RunBitwise[uint64](ctx, pairs, cfg)
-		}
-		return pipeline.RunBitwise[uint32](ctx, pairs, cfg)
-	case TierWordwise:
-		return pipeline.RunWordwise(ctx, pairs, cfg)
-	}
-	return nil, fmt.Errorf("alignsvc: no simulated pipeline for tier %v", tier)
-}
-
-// simBackend serves through a simulated GPU pipeline. Attached to a service
-// (svc != nil) it inherits the service's fleet, fault injection and metrics
-// registry; standalone it runs the bare pipeline.
-type simBackend struct {
-	name  string
-	tier  Tier
-	cfg   pipeline.Config
-	lanes int
-	svc   *Service // nil in standalone mode
-}
-
-func (b *simBackend) Name() string { return b.name }
-
-func (b *simBackend) Capabilities() Capabilities {
-	return Capabilities{Exact: false, Simulated: true}
-}
-
-func (b *simBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts BatchOpts) ([]int, BatchStats, error) {
-	if b.svc == nil {
-		r, err := runPipeline(ctx, b.tier, pairs, b.cfg, b.lanes)
-		if err != nil {
-			return nil, BatchStats{}, err
-		}
-		return r.Scores, BatchStats{}, nil
-	}
-	s := b.svc
-	if s.cfg.Fleet != nil {
-		scores, counts, err := s.runTierFleet(ctx, b.tier, pairs)
-		return scores, BatchStats{Faults: counts}, err
-	}
-	cfg := s.cfg.Pipeline
-	if cfg.Metrics == nil {
-		// Hand the pipelines the service registry so one scrape sees the
-		// whole stack.
-		cfg.Metrics = s.obs
-	}
-	fcfg := *s.faults.Load()
-	// Derive an independent deterministic fault stream per attempt so a
-	// retry does not replay the exact faults that just killed the batch.
-	fcfg.Seed ^= (opts.Seq*0x9e3779b97f4a7c15 + opts.Attempt) | 1
-	inj := cudasim.NewFaultInjector(fcfg)
-	cfg.Faults = inj
-	r, err := runPipeline(ctx, b.tier, pairs, cfg, s.cfg.Lanes)
-	st := BatchStats{Faults: inj.Counts()}
-	if err != nil {
-		return nil, st, err
-	}
-	return r.Scores, st, nil
-}
-
 // stripedBackend serves with the native striped CPU engine. It is exact by
-// construction (overflowed narrow passes are always re-scored wider, down
-// to the scalar reference), so the service skips sampling validation.
+// construction: overflowed narrow passes are always re-scored wider, down
+// to the scalar reference.
 type stripedBackend struct {
-	eng     *striped.Engine
-	scoring func() swa.Scoring
+	eng *striped.Engine
+	sc  swa.Scoring
 }
 
 func (b *stripedBackend) Name() string { return BackendStriped }
 
-func (b *stripedBackend) Capabilities() Capabilities {
-	return Capabilities{Exact: true}
-}
-
 func (b *stripedBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, _ BatchOpts) ([]int, BatchStats, error) {
-	scores, _, err := b.eng.ScoreBatch(ctx, pairs, b.scoring())
+	scores, _, err := b.eng.ScoreBatch(ctx, pairs, b.sc)
 	return scores, BatchStats{}, err
 }
 
@@ -214,17 +122,13 @@ const cpuPollCells = 1 << 16
 // cpuBackend is the scalar swa.Score reference: the last rung of every
 // ladder, exact and fault-free, failing only on cancellation.
 type cpuBackend struct {
-	scoring func() swa.Scoring
+	sc swa.Scoring
 }
 
 func (b *cpuBackend) Name() string { return BackendCPURef }
 
-func (b *cpuBackend) Capabilities() Capabilities {
-	return Capabilities{Exact: true}
-}
-
 func (b *cpuBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, _ BatchOpts) ([]int, BatchStats, error) {
-	scores, err := runCPURef(ctx, pairs, b.scoring())
+	scores, err := runCPURef(ctx, pairs, b.sc)
 	return scores, BatchStats{}, err
 }
 

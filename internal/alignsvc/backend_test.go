@@ -102,10 +102,8 @@ func TestAlignBackendOverride(t *testing.T) {
 	}
 }
 
-// TestStripedBackendDegradesToCPU verifies the striped ladder still ends at
-// the reference rung: with the engine's rung poisoned (simulated via a
-// backend stub), the batch is served by TierCPU. Rather than stubbing, use
-// NoCPUFallback to at least pin the ladder shape.
+// TestStripedLadderShape pins the striped and cpu-ref ladders, with and
+// without the reference rung.
 func TestStripedLadderShape(t *testing.T) {
 	s := New(Config{Seed: 5, Backend: BackendStriped, Metrics: obs.NewRegistry()})
 	defer s.Close()
@@ -124,6 +122,49 @@ func TestStripedLadderShape(t *testing.T) {
 	// for the reference, removing it would leave nothing.
 	if got := s2.ladder(BackendCPURef); len(got) != 1 || got[0] != TierCPU {
 		t.Fatalf("cpu-ref ladder with NoCPUFallback = %v", got)
+	}
+}
+
+// stubBackend is a rung that fails every batch, by error or by panic.
+type stubBackend struct{ panics bool }
+
+func (b stubBackend) Name() string { return "stub" }
+
+func (b stubBackend) AlignBatch(context.Context, []dna.Pair, BatchOpts) ([]int, BatchStats, error) {
+	if b.panics {
+		panic("stub kernel fault")
+	}
+	return nil, BatchStats{}, errors.New("stub engine failure")
+}
+
+// TestStripedBackendDegradesToCPU poisons the striped rung and checks the
+// batch still gets exact scores from the reference rung, with the fallback
+// counted and a panic recovered rather than propagated.
+func TestStripedBackendDegradesToCPU(t *testing.T) {
+	for _, panics := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		s := New(Config{Seed: 5, Backend: BackendStriped, Metrics: reg})
+		s.backends[TierStriped] = stubBackend{panics: panics}
+		pairs := plantedPairs(16, 24, 48, 19)
+		res, err := s.Align(context.Background(), pairs)
+		s.Close()
+		if err != nil {
+			t.Fatalf("panics=%v: %v", panics, err)
+		}
+		assertScores(t, res.Scores, refScores(pairs))
+		if res.Report.Tier != TierCPU || res.Report.Fallbacks != 1 {
+			t.Fatalf("panics=%v: report %+v", panics, res.Report)
+		}
+		if st := s.Stats(); st.Fallbacks != 1 {
+			t.Fatalf("panics=%v: Stats.Fallbacks = %d, want 1", panics, st.Fallbacks)
+		}
+		want := int64(0)
+		if panics {
+			want = 1
+		}
+		if got := reg.Counter(obs.L("alignsvc_panics_recovered_total", "tier", "striped")).Value(); got != want {
+			t.Fatalf("panics=%v: striped panics recovered = %d, want %d", panics, got, want)
+		}
 	}
 }
 

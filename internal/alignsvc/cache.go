@@ -4,7 +4,7 @@ package alignsvc
 // recovery-time cache warming, and the Stats surface. The cache itself
 // (sharding, LRU, TTL, singleflight) lives in internal/aligncache; this
 // layer decides how a batch splits into cached and uncached halves and how
-// the uncached remainder flows through the existing dispatch machinery.
+// the uncached remainder flows through admission and the ladder.
 
 import (
 	"context"
@@ -34,7 +34,7 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 	}
 	start := time.Now()
 	cache := s.cfg.Cache
-	sc := s.scoring()
+	sc := s.cfg.scoring()
 	lanes := s.cfg.Lanes
 
 	scores := make([]int, len(pairs))
@@ -71,9 +71,9 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 
 	rep := Report{CacheHits: hits}
 
-	// Dispatch the uncached remainder as one batch through the normal
-	// queue/breaker/retry machinery, then publish each score so every
-	// follower (here and in concurrent batches) unblocks.
+	// Dispatch the uncached remainder as one batch through admission and
+	// the ladder, then publish each score so every follower (here and in
+	// concurrent batches) unblocks.
 	if len(missPairs) > 0 {
 		res, err := s.dispatch(ctx, missPairs, backend)
 		if err != nil {
@@ -150,7 +150,7 @@ func (s *Service) WarmCache(pairs []dna.Pair, scores []int) int {
 	if !s.cfg.Cache.Enabled() || len(pairs) != len(scores) {
 		return 0
 	}
-	sc := s.scoring()
+	sc := s.cfg.scoring()
 	for i, p := range pairs {
 		s.cfg.Cache.Put(aligncache.KeyOf(p.X, p.Y, sc, s.cfg.Lanes), scores[i], aligncache.Cost(p.X, p.Y))
 	}

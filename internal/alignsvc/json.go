@@ -10,7 +10,8 @@ import (
 )
 
 // This file pins the wire format of Report and Stats: stable snake_case
-// field names, tiers and breaker states as their String() forms, durations
+// field names, tiers and breaker states as their String() forms (breaker
+// states through health.BreakerState's text codec), durations
 // as float milliseconds. /statsz, the server responses and any future
 // observability layer all marshal through here, so changes are breaking.
 
@@ -49,25 +50,6 @@ func (t *Tier) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	*t = v
-	return nil
-}
-
-// MarshalJSON renders the state name ("closed", "open", "half-open").
-func (s BreakerState) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.String())
-}
-
-// UnmarshalJSON parses the state name.
-func (s *BreakerState) UnmarshalJSON(b []byte) error {
-	var str string
-	if err := json.Unmarshal(b, &str); err != nil {
-		return err
-	}
-	v, err := ParseBreakerState(str)
-	if err != nil {
-		return err
-	}
-	*s = v
 	return nil
 }
 

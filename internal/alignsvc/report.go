@@ -83,7 +83,7 @@ type Report struct {
 	Skips     []Tier // tiers skipped because their circuit breaker was open
 	Faults    cudasim.FaultCounts
 	Validated int           // pairs re-scored on the CPU for validation
-	Elapsed   time.Duration // wall time from dequeue to scores
+	Elapsed   time.Duration // wall time from admission to scores
 
 	CacheHits      int // pairs served from the score cache
 	CacheCoalesced int // pairs that waited on another batch's computation
@@ -117,6 +117,22 @@ func (r Report) String() string {
 		fmt.Fprintf(&b, " [breaker skipped %s]", strings.Join(names, ", "))
 	}
 	return b.String()
+}
+
+// record folds one rung's BatchStats into the report. A backend that lists
+// no attempts made exactly one, so the call itself is recorded.
+func (r *Report) record(tier Tier, st BatchStats, err error) {
+	if len(st.Attempts) == 0 {
+		at := Attempt{Tier: tier, Faults: st.Faults}
+		if err != nil {
+			at.Err = err.Error()
+		}
+		st.Attempts = []Attempt{at}
+	}
+	r.Attempts = append(r.Attempts, st.Attempts...)
+	r.Retries += st.Retries
+	r.Validated += st.Validated
+	r.Faults = r.Faults.Add(st.Faults)
 }
 
 // BatchResult is what Align returns: exact scores plus the report.

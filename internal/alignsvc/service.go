@@ -1,29 +1,30 @@
-// Package alignsvc is the resilient batch-alignment service layer: it puts
-// every scoring engine — the simulated GPU pipelines, the native striped
-// CPU engine and the scalar reference — behind one pluggable Backend seam,
-// wrapped in a bounded worker pool with backpressure and a fault-tolerance
-// ladder. Each batch is retried with exponential backoff and jitter on
-// transient device faults, validated against a CPU-reference sample (for
-// backends that are not exact by construction), and degraded through its
-// backend's ladder, e.g.
+// Package alignsvc is the batch-alignment service layer. Every scoring
+// engine — the native striped CPU engine, the simulated GPU pipelines and
+// the scalar reference — sits behind one pluggable Backend seam. A batch
+// passes the optional content-addressed score cache (Config.Cache), then
+// bounded admission (at most Config.Workers batches run at once; further
+// callers block on their own goroutine, the backpressure signal), then its
+// backend's degradation ladder, e.g.
 //
-//	bitwise GPU pipeline → wordwise GPU pipeline → CPU swa.Score
 //	striped CPU engine → CPU swa.Score
+//	bitwise GPU pipeline → wordwise GPU pipeline → CPU swa.Score
 //
-// until a rung produces trustworthy scores, so callers always receive
-// correct results (or a context error) together with a per-batch Report of
-// attempts, fallbacks and injected faults. The default backend is chosen by
+// The ladder recovers backend panics, skips a rung whose circuit breaker is
+// open (ErrBreakerOpen) and falls through to the next rung on any other
+// error, so callers always receive exact scores (or a context error)
+// together with a per-batch Report. The fault-tolerance machinery the
+// simulated GPU needs — per-attempt fault streams, retry with backoff,
+// sampled validation against the CPU reference, per-tier breakers and fleet
+// sharding — lives inside the simulated backends (sim.go); the exact
+// engines are called once. The default backend is chosen by
 // Config.Backend; Align uses it, AlignBackend overrides it per request.
-// Kernel panics are converted into errors instead of killing the process,
-// and service-level counters are exposed through Stats for the
-// observability layers to build on.
+// Service-level counters are exposed through Stats.
 package alignsvc
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,21 +43,9 @@ import (
 // ErrClosed is returned by Align after Close.
 var ErrClosed = errors.New("alignsvc: service closed")
 
-// ValidationError reports a score that disagreed with the CPU reference
-// (the signature of silent device-memory corruption).
-type ValidationError struct {
-	Index     int
-	Got, Want int
-}
-
-func (e *ValidationError) Error() string {
-	return fmt.Sprintf("alignsvc: score validation failed at pair %d: got %d, want %d",
-		e.Index, e.Got, e.Want)
-}
-
 // Config tunes the service. The zero value is usable: bitwise tier first,
-// GOMAXPROCS workers, three attempts per tier, millisecond-scale backoff,
-// 5%% score validation, no fault injection.
+// GOMAXPROCS workers, three attempts per simulated tier, millisecond-scale
+// backoff, 5% score validation, no fault injection.
 type Config struct {
 	// Backend selects the default serving engine and its degradation
 	// ladder by name: BackendBitwiseSim (also the "" default, preserving
@@ -71,35 +60,35 @@ type Config struct {
 	// Lanes selects the bitwise lane width, 32 (default) or 64.
 	Lanes int
 	// Workers bounds how many batches run concurrently (default
-	// GOMAXPROCS). Queue bounds how many more may wait (default Workers);
-	// beyond that, Align blocks — the backpressure signal.
-	Workers, Queue int
-	// MaxAttempts is the number of tries per GPU tier before degrading
-	// (default 3). The CPU tier always gets exactly one try.
+	// GOMAXPROCS). Beyond that, Align blocks until a batch finishes — the
+	// backpressure signal.
+	Workers int
+
+	// The knobs below shape the simulated tiers' fault-tolerance ladder
+	// (sim.go); the exact backends ignore them.
+
+	// MaxAttempts is the number of tries per simulated tier before
+	// degrading (default 3).
 	MaxAttempts int
 	// BaseBackoff and MaxBackoff shape the exponential backoff between
 	// same-tier retries (defaults 1ms and 50ms). Jitter halves the low end.
 	BaseBackoff, MaxBackoff time.Duration
-	// ValidateFrac is the fraction of each batch's scores re-checked
-	// against the CPU reference (default 0.05; >= 1 checks every score,
-	// negative disables validation). Validation failures count as attempt
-	// failures and trigger retry/degradation.
+	// ValidateFrac is the fraction of each simulated batch's scores
+	// re-checked against the CPU reference (default 0.05; >= 1 checks every
+	// score, negative disables validation). Validation failures count as
+	// attempt failures and trigger retry/degradation.
 	ValidateFrac float64
 	// Seed drives jitter, validation sampling, and the per-attempt fault
 	// streams, making whole-service runs reproducible.
 	Seed uint64
-	// Faults enables deterministic fault injection on every GPU attempt.
-	// Each attempt derives its own stream from Faults.Seed, the batch
-	// number and the attempt number, so retries see fresh faults.
+	// Faults enables deterministic fault injection on every simulated
+	// attempt. Each attempt derives its own stream from Faults.Seed, the
+	// batch number and the attempt number, so retries see fresh faults.
 	Faults cudasim.FaultConfig
-	// StartTier skips leading rungs of the default bitwise-sim ladder
-	// (e.g. TierWordwise to bypass the bitwise pipeline entirely). The
-	// other backends' ladders already start at their engine and ignore it.
-	StartTier Tier
-	// BreakerFailures is how many consecutive batch-level failures of a GPU
-	// tier trip its circuit breaker open (default 5; negative disables the
-	// breakers). While a breaker is open the ladder skips that tier
-	// entirely instead of paying the retry ladder on every batch.
+	// BreakerFailures is how many consecutive batch-level failures of a
+	// simulated tier trip its circuit breaker open (default 5; negative
+	// disables the breakers). While a breaker is open the ladder skips that
+	// tier entirely instead of paying the retry ladder on every batch.
 	BreakerFailures int
 	// BreakerCooldown is how long a tripped breaker stays open before a
 	// single half-open probe batch is let through (default 500ms). The
@@ -109,31 +98,29 @@ type Config struct {
 	// histograms plus retry/fallback/breaker counters (nil = obs.Default()).
 	// It is also handed to the pipelines unless Pipeline.Metrics is set.
 	Metrics *obs.Registry
-	// Fleet, when non-nil, spreads each GPU-tier batch across a fleet of
-	// simulated devices (shards, work-stealing, hedging, per-device health;
-	// see internal/fleet). The degradation ladder is unchanged — a tier
-	// fails only when the whole fleet could not serve the batch — and the
-	// fleet's CPU member handles shard-level re-dispatch while TierCPU
-	// remains the batch-level last rung. Breaker openings on GPU tiers are
-	// forwarded to the fleet as health signals.
+	// Fleet, when non-nil, spreads each simulated-tier batch across a fleet
+	// of simulated devices (shards, work-stealing, hedging, per-device
+	// health; see internal/fleet). The degradation ladder is unchanged — a
+	// tier fails only when the whole fleet could not serve the batch — and
+	// the fleet's CPU member handles shard-level re-dispatch while TierCPU
+	// remains the batch-level last rung. Breaker openings on simulated
+	// tiers are forwarded to the fleet as health signals.
 	Fleet *fleet.Scheduler
 	// NoCPUFallback removes TierCPU from the ladder, so a batch that
-	// exhausts the GPU tiers fails typed instead of being served by the
+	// exhausts the other rungs fails typed instead of being served by the
 	// host reference. Integration tests use it to observe device-loss
 	// errors end to end; production configs leave it false.
 	NoCPUFallback bool
 	// Cache, when non-nil, memoizes per-pair scores by content hash
 	// (pattern bytes, text bytes, scoring, lane width). Cache hits bypass
-	// the worker pool, the circuit breakers and the retry ladder entirely;
-	// a partially cached batch dispatches only its uncached remainder, and
-	// concurrent identical pairs coalesce onto one computation. nil (the
-	// default) keeps the service byte-identical to the uncached behaviour.
+	// admission and the ladder entirely; a partially cached batch
+	// dispatches only its uncached remainder, and concurrent identical
+	// pairs coalesce onto one computation. nil (the default) keeps the
+	// service byte-identical to the uncached behaviour.
 	Cache *aligncache.Cache
 
 	// sleep replaces the backoff sleep in tests.
 	sleep func(context.Context, time.Duration) error
-	// now replaces the breaker clock in tests.
-	now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -142,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Queue <= 0 {
-		c.Queue = c.Workers
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -167,10 +151,23 @@ func (c Config) withDefaults() Config {
 	if c.sleep == nil {
 		c.sleep = sleepCtx
 	}
-	if c.now == nil {
-		c.now = time.Now
-	}
 	return c
+}
+
+// registry is the metrics registry: the configured one, or obs.Default().
+func (c Config) registry() *obs.Registry {
+	if c.Metrics != nil {
+		return c.Metrics
+	}
+	return obs.Default()
+}
+
+// scoring is the effective scoring scheme: the pipeline's, or the paper's.
+func (c Config) scoring() swa.Scoring {
+	if c.Pipeline.Scoring == (swa.Scoring{}) {
+		return swa.PaperScoring
+	}
+	return c.Pipeline.Scoring
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -184,158 +181,88 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-type job struct {
-	ctx       context.Context
-	pairs     []dna.Pair
-	backend   string // serving backend (validated before enqueue)
-	seq       uint64
-	submitted time.Time // when Align enqueued it, for the queue-wait metric
-	res       chan jobResult
-}
-
-type jobResult struct {
-	batch *BatchResult
-	err   error
-}
-
 // Service is a long-lived batch-alignment service. Create with New, submit
 // with Align (safe for concurrent use), and Close when done.
 type Service struct {
-	cfg  Config
-	jobs chan *job
-	quit chan struct{}
-	wg   sync.WaitGroup
+	cfg Config
+	obs *obs.Registry
 
+	// slots holds one token per running batch: Align acquires one on the
+	// caller's goroutine, so Workers bounds concurrency without a pool.
+	slots     chan struct{}
+	quit      chan struct{}
 	closeOnce sync.Once
 	batchSeq  atomic.Uint64
 
-	// backends holds one Backend per tier; process routes every attempt
+	// backends holds one Backend per tier; the ladder routes every rung
 	// through this seam. stripedEng is the shared native engine behind
-	// backends[TierStriped] and the fleet's CPU member.
+	// backends[TierStriped] and the fleet's CPU member; sim is the state
+	// the two simulated backends share (faults, breakers, counters).
 	backends   [numTiers]Backend
 	stripedEng *striped.Engine
+	sim        *simRuntime
 
-	// breakers holds the per-tier circuit breakers; the exact rungs (CPU
-	// reference and striped engine) stay nil — they cannot be tripped.
-	// faults is the live fault config, swappable at runtime via SetFaults
-	// for chaos harnesses.
-	breakers [numTiers]*breaker
-	faults   atomic.Pointer[cudasim.FaultConfig]
-	obs      *obs.Registry
-
-	batches, batchesFailed, retries, fallbacks atomic.Int64
-	cpuFallbacks, deadlineHits, cancellations  atomic.Int64
-	panicsRecovered, faultsInjected            atomic.Int64
-
-	// fleetSeq derives a unique injector seed per fleet shard execution, so
-	// a re-dispatched shard never replays the fault stream that killed it.
-	fleetSeq atomic.Uint64
+	batches, batchesFailed, fallbacks         atomic.Int64
+	cpuFallbacks, deadlineHits, cancellations atomic.Int64
+	panicsRecovered                           atomic.Int64
 }
 
-// New starts the worker pool and returns the service. It panics on an
-// unknown Config.Backend name — serving with a different engine than the
-// operator asked for is worse than failing fast.
+// New builds the service. It panics on an unknown Config.Backend name —
+// serving with a different engine than the operator asked for is worse than
+// failing fast.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	if _, err := backendTier(cfg.Backend); err != nil {
+	if err := checkBackend(cfg.Backend); err != nil {
 		panic(err.Error())
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.Default()
-	}
+	reg := cfg.registry()
 	s := &Service{
-		cfg:  cfg,
-		jobs: make(chan *job, cfg.Queue),
-		quit: make(chan struct{}),
-		obs:  reg,
+		cfg:   cfg,
+		obs:   reg,
+		slots: make(chan struct{}, cfg.Workers),
+		quit:  make(chan struct{}),
 	}
 	s.stripedEng = striped.New(striped.Config{})
-	s.backends[TierBitwise] = &simBackend{name: BackendBitwiseSim, tier: TierBitwise, svc: s}
-	s.backends[TierWordwise] = &simBackend{name: BackendWordwiseSim, tier: TierWordwise, svc: s}
-	s.backends[TierStriped] = &stripedBackend{eng: s.stripedEng, scoring: s.scoring}
-	s.backends[TierCPU] = &cpuBackend{scoring: s.scoring}
-	reg.Help("alignsvc_queue_wait_seconds", "time a batch waited for a worker")
-	reg.Help("alignsvc_batch_seconds", "dequeue-to-scores latency of successful batches, by serving tier")
+	s.sim = newSimRuntime(cfg, s.stripedEng)
+	s.backends[TierBitwise] = &simBackend{name: BackendBitwiseSim, tier: TierBitwise, rt: s.sim}
+	s.backends[TierWordwise] = &simBackend{name: BackendWordwiseSim, tier: TierWordwise, rt: s.sim}
+	s.backends[TierStriped] = &stripedBackend{eng: s.stripedEng, sc: cfg.scoring()}
+	s.backends[TierCPU] = &cpuBackend{sc: cfg.scoring()}
+	reg.Help("alignsvc_queue_wait_seconds", "time a batch waited for an admission slot")
+	reg.Help("alignsvc_batch_seconds", "admission-to-scores latency of successful batches, by serving tier")
 	reg.Help("alignsvc_batches_total", "successful batches by serving tier")
-	reg.Help("alignsvc_retries_total", "same-tier re-runs after a failed attempt")
 	reg.Help("alignsvc_fallbacks_total", "tier downgrades after exhausting a tier")
-	reg.Help("alignsvc_breaker_transitions_total", "circuit-breaker state transitions by tier")
-	reg.Help("alignsvc_breaker_state", "current breaker state (0 closed, 1 open, 2 half-open)")
-	f := cfg.Faults
-	s.faults.Store(&f)
-	if cfg.BreakerFailures > 0 {
-		for _, t := range []Tier{TierBitwise, TierWordwise} {
-			b := newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, cfg.now)
-			state := reg.Gauge(obs.L("alignsvc_breaker_state", "tier", t.String()))
-			state.Set(float64(BreakerClosed))
-			tier := t.String()
-			b.onTransition = func(to BreakerState) {
-				reg.Counter(obs.L("alignsvc_breaker_transitions_total",
-					"tier", tier, "to", to.String())).Inc()
-				state.Set(float64(to))
-				// A GPU tier's breaker opening is a fleet-health signal:
-				// mark the GPU members suspect so failing devices
-				// quarantine on a short streak. (Lock order is breaker →
-				// fleet; the fleet never calls back into a breaker.)
-				if to == BreakerOpen && cfg.Fleet != nil {
-					cfg.Fleet.NoteBreakerOpen(tier)
-				}
-			}
-			s.breakers[t] = b
-		}
-	}
-	s.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go s.worker()
-	}
 	return s
 }
 
-// SetFaults replaces the fault-injection config for all future attempts.
-// Chaos harnesses use it to start and stop fault storms against a live
-// service (and to let tripped breakers recover via their probes).
-func (s *Service) SetFaults(f cudasim.FaultConfig) {
-	s.faults.Store(&f)
-}
+// SetFaults replaces the fault-injection config for all future simulated
+// attempts. Chaos harnesses use it to start and stop fault storms against a
+// live service (and to let tripped breakers recover via their probes).
+func (s *Service) SetFaults(f cudasim.FaultConfig) { s.sim.setFaults(f) }
 
-// Close stops the workers after the current batches finish. Pending and
-// future Align calls return ErrClosed.
+// Close waits for the running batches to finish. Waiting and future Align
+// calls return ErrClosed.
 func (s *Service) Close() {
-	s.closeOnce.Do(func() { close(s.quit) })
-	s.wg.Wait()
-}
-
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case j := <-s.jobs:
-			wait := time.Since(j.submitted)
-			s.obs.Histogram("alignsvc_queue_wait_seconds", obs.LatencyBuckets).ObserveDuration(wait)
-			obs.FromContext(j.ctx).AddSpan("alignsvc.queue_wait", j.submitted, wait)
-			endSvc := obs.FromContext(j.ctx).StartSpan("alignsvc.process")
-			batch, err := s.process(j.ctx, j.pairs, j.seq, j.backend)
-			endSvc()
-			j.res <- jobResult{batch, err}
+	s.closeOnce.Do(func() {
+		close(s.quit)
+		for i := 0; i < cap(s.slots); i++ {
+			s.slots <- struct{}{}
 		}
-	}
+	})
 }
 
 // Align scores one uniform batch of pairs through the default backend's
-// degradation ladder. It blocks while the queue is full (backpressure) and
-// honours ctx at every stage: submission, retry backoff, kernel-block
-// boundaries, and the CPU fallback loop. On success the scores are exact;
-// the report says how many attempts, fallbacks and injected faults it took
-// to get them.
+// degradation ladder. It blocks while Workers batches are already running
+// (backpressure) and honours ctx at every stage: admission, retry backoff,
+// kernel-block boundaries, and the CPU fallback loop. On success the scores
+// are exact; the report says how many attempts, fallbacks and injected
+// faults it took to get them.
 //
 // With Config.Cache set, pairs whose scores are already cached are served
-// without touching the worker pool, breakers or retry ladder; only the
-// uncached remainder is dispatched (see alignCached). Scores are exact
-// either way — a cache hit is byte-identical to a recompute by key
-// construction, whichever backend filled it (see aligncache.KeyOf).
+// without admission or the ladder; only the uncached remainder is
+// dispatched (see alignCached). Scores are exact either way — a cache hit
+// is byte-identical to a recompute by key construction, whichever backend
+// filled it (see aligncache.KeyOf).
 func (s *Service) Align(ctx context.Context, pairs []dna.Pair) (*BatchResult, error) {
 	return s.align(ctx, pairs, s.cfg.Backend)
 }
@@ -354,9 +281,9 @@ func Cells(pairs []dna.Pair) int64 {
 
 // AlignBackend is Align with a per-request backend override: the batch is
 // served by the named backend's ladder instead of the configured default.
-// An unknown name fails before any work is enqueued.
+// An unknown name fails before any work is admitted.
 func (s *Service) AlignBackend(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
-	if _, err := backendTier(backend); err != nil {
+	if err := checkBackend(backend); err != nil {
 		return nil, err
 	}
 	return s.align(ctx, pairs, backend)
@@ -369,25 +296,29 @@ func (s *Service) align(ctx context.Context, pairs []dna.Pair, backend string) (
 	return s.dispatch(ctx, pairs, backend)
 }
 
-// dispatch is the uncached path: enqueue the batch for a worker and wait.
+// dispatch is the uncached path: take a slot, then walk the ladder on the
+// caller's goroutine.
 func (s *Service) dispatch(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
-	j := &job{ctx: ctx, pairs: pairs, backend: backend, seq: s.batchSeq.Add(1),
-		submitted: time.Now(), res: make(chan jobResult, 1)}
+	submitted := time.Now()
 	select {
-	case s.jobs <- j:
+	case s.slots <- struct{}{}:
 	case <-ctx.Done():
 		return nil, s.noteCtxErr(ctx.Err())
 	case <-s.quit:
 		return nil, ErrClosed
 	}
+	defer func() { <-s.slots }()
 	select {
-	case r := <-j.res:
-		return r.batch, r.err
-	case <-ctx.Done():
-		return nil, s.noteCtxErr(ctx.Err())
-	case <-s.quit:
+	case <-s.quit: // admitted in the race with Close
 		return nil, ErrClosed
+	default:
 	}
+	wait := time.Since(submitted)
+	s.obs.Histogram("alignsvc_queue_wait_seconds", obs.LatencyBuckets).ObserveDuration(wait)
+	tr := obs.FromContext(ctx)
+	tr.AddSpan("alignsvc.queue_wait", submitted, wait)
+	defer tr.StartSpan("alignsvc.process")()
+	return s.process(ctx, pairs, s.batchSeq.Add(1), backend)
 }
 
 // Stats snapshots the service counters, including the per-tier circuit
@@ -401,21 +332,13 @@ func (s *Service) Stats() Stats {
 		Backend:         defaultBackend,
 		Batches:         s.batches.Load(),
 		BatchesFailed:   s.batchesFailed.Load(),
-		Retries:         s.retries.Load(),
 		Fallbacks:       s.fallbacks.Load(),
 		CPUFallbacks:    s.cpuFallbacks.Load(),
 		DeadlineHits:    s.deadlineHits.Load(),
 		Cancellations:   s.cancellations.Load(),
 		PanicsRecovered: s.panicsRecovered.Load(),
-		FaultsInjected:  s.faultsInjected.Load(),
 	}
-	for _, t := range []Tier{TierBitwise, TierWordwise} {
-		snap, trips, shorts, probes := s.breakers[t].snapshot(t)
-		st.Breakers = append(st.Breakers, snap)
-		st.BreakerTrips += trips
-		st.BreakerShortCircuits += shorts
-		st.BreakerProbes += probes
-	}
+	s.sim.addStats(&st)
 	if s.cfg.Fleet != nil {
 		fs := s.cfg.Fleet.Stats()
 		st.Fleet = &fs
@@ -441,70 +364,76 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// ladder returns the degradation ladder for a backend: the backend's own
-// rung first, then the cheaper rungs it degrades through, always ending at
-// the CPU reference. StartTier filters only the default bitwise-sim ladder
-// (the other backends' ladders already start at their engine);
-// NoCPUFallback drops the reference rung except for the cpu-ref backend,
-// whose only rung it is.
-func (s *Service) ladder(backend string) []Tier {
-	var rungs []Tier
-	switch backend {
-	case BackendWordwiseSim:
-		rungs = []Tier{TierWordwise, TierCPU}
-	case BackendStriped:
-		rungs = []Tier{TierStriped, TierCPU}
-	case BackendCPURef:
-		return []Tier{TierCPU}
-	default: // BackendBitwiseSim and ""
-		for _, t := range []Tier{TierBitwise, TierWordwise, TierCPU} {
-			if t >= s.cfg.StartTier {
-				rungs = append(rungs, t)
-			}
-		}
+// ladders maps each backend name to its degradation ladder: the backend's
+// own rung first, then the cheaper rungs it degrades through, always ending
+// at the CPU reference.
+var ladders = map[string][]Tier{
+	"":                 {TierBitwise, TierWordwise, TierCPU},
+	BackendBitwiseSim:  {TierBitwise, TierWordwise, TierCPU},
+	BackendWordwiseSim: {TierWordwise, TierCPU},
+	BackendStriped:     {TierStriped, TierCPU},
+	BackendCPURef:      {TierCPU},
+}
+
+// checkBackend rejects a backend name that has no ladder.
+func checkBackend(name string) error {
+	if _, ok := ladders[name]; !ok {
+		return fmt.Errorf("alignsvc: unknown backend %q", name)
 	}
-	if s.cfg.NoCPUFallback && len(rungs) > 0 && rungs[len(rungs)-1] == TierCPU {
+	return nil
+}
+
+// ladder returns the backend's ladder. NoCPUFallback drops the reference
+// rung except for the cpu-ref backend, whose only rung it is.
+func (s *Service) ladder(backend string) []Tier {
+	rungs := ladders[backend]
+	if s.cfg.NoCPUFallback && len(rungs) > 1 {
 		rungs = rungs[:len(rungs)-1]
 	}
 	return rungs
 }
 
-// process walks the backend's degradation ladder for one batch, consulting
-// each simulated tier's circuit breaker before paying for its attempts.
+// process walks the backend's degradation ladder for one batch: a rung
+// whose breaker is open is skipped, a rung that fails falls through to the
+// next, and the first rung to succeed serves the batch.
 func (s *Service) process(ctx context.Context, pairs []dna.Pair, seq uint64, backend string) (*BatchResult, error) {
-	rep := Report{}
-	start := s.cfg.now()
-	rng := rand.New(rand.NewPCG(s.cfg.Seed^seq, 0xa1195c7e))
+	var rep Report
+	start := time.Now()
 	var lastErr error
 	ladder := s.ladder(backend)
 	for li, tier := range ladder {
-		allowed, probe := s.breakers[tier].allow()
-		if !allowed {
+		if err := ctx.Err(); err != nil {
+			return nil, s.noteCtxErr(err)
+		}
+		endTier := obs.FromContext(ctx).StartSpan("alignsvc.tier." + tier.String())
+		scores, st, err := s.runRung(ctx, tier, pairs, seq)
+		endTier()
+		if errors.Is(err, ErrBreakerOpen) {
 			rep.Skips = append(rep.Skips, tier)
 			s.obs.Counter(obs.L("alignsvc_breaker_skips_total", "tier", tier.String())).Inc()
 			continue
 		}
-		endTier := obs.FromContext(ctx).StartSpan("alignsvc.tier." + tier.String())
-		res, err := s.runTierAttempts(ctx, tier, pairs, seq, rng, &rep)
-		endTier()
+		rep.record(tier, st, err)
 		switch {
 		case err == nil:
-			s.breakers[tier].release(tierSucceeded, probe)
-			res.Report.Elapsed = s.cfg.now().Sub(start)
-			s.obs.Histogram(obs.L("alignsvc_batch_seconds", "tier", tier.String()),
-				obs.LatencyBuckets).ObserveDuration(res.Report.Elapsed)
-			return res, nil
-		case isCtxErr(err):
-			s.breakers[tier].release(tierAbandoned, probe)
-			return nil, s.noteCtxErr(err)
-		default:
-			s.breakers[tier].release(tierFailed, probe)
-			lastErr = err
-			if li+1 < len(ladder) {
-				rep.Fallbacks++
-				s.fallbacks.Add(1)
-				s.obs.Counter(obs.L("alignsvc_fallbacks_total", "from", tier.String())).Inc()
+			rep.Tier = tier
+			rep.Elapsed = time.Since(start)
+			s.batches.Add(1)
+			s.obs.Counter(obs.L("alignsvc_batches_total", "tier", tier.String())).Inc()
+			if tier == TierCPU {
+				s.cpuFallbacks.Add(1)
 			}
+			s.obs.Histogram(obs.L("alignsvc_batch_seconds", "tier", tier.String()),
+				obs.LatencyBuckets).ObserveDuration(rep.Elapsed)
+			return &BatchResult{Scores: scores, Report: rep}, nil
+		case isCtxErr(err):
+			return nil, s.noteCtxErr(err)
+		}
+		lastErr = err
+		if li+1 < len(ladder) {
+			rep.Fallbacks++
+			s.fallbacks.Add(1)
+			s.obs.Counter(obs.L("alignsvc_fallbacks_total", "from", tier.String())).Inc()
 		}
 	}
 	s.batchesFailed.Add(1)
@@ -517,74 +446,8 @@ func (s *Service) process(ctx context.Context, pairs []dna.Pair, seq uint64, bac
 	return nil, fmt.Errorf("alignsvc: all tiers exhausted (%s): %w", rep.String(), lastErr)
 }
 
-// runTierAttempts runs up to MaxAttempts tries of one tier with backoff,
-// recording every attempt in rep. It returns the batch result on success, a
-// bare context error on cancellation, or the last attempt error once the
-// tier is exhausted.
-func (s *Service) runTierAttempts(ctx context.Context, tier Tier, pairs []dna.Pair, seq uint64, rng *rand.Rand, rep *Report) (*BatchResult, error) {
-	attempts := s.cfg.MaxAttempts
-	exact := s.backends[tier].Capabilities().Exact
-	if exact {
-		// Exact backends (striped, CPU reference) have no transient device
-		// faults to retry through: one attempt, and any failure is either a
-		// context error or a bug.
-		attempts = 1
-	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		scores, counts, err := s.runTier(ctx, tier, pairs, seq, uint64(int(tier)*attempts+a))
-		rep.Faults.HtoD += counts.HtoD
-		rep.Faults.DtoH += counts.DtoH
-		rep.Faults.Alloc += counts.Alloc
-		rep.Faults.Launch += counts.Launch
-		rep.Faults.BitFlips += counts.BitFlips
-		s.faultsInjected.Add(int64(counts.Total()))
-		s.obs.Counter("alignsvc_faults_injected_total").Add(int64(counts.Total()))
-		at := Attempt{Tier: tier, Faults: counts}
-		if err == nil && !exact {
-			var checked int
-			checked, err = s.validate(ctx, pairs, scores, rng)
-			rep.Validated += checked
-			var ve *ValidationError
-			at.ValidationFailed = errors.As(err, &ve)
-		}
-		if err == nil {
-			rep.Attempts = append(rep.Attempts, at)
-			rep.Tier = tier
-			s.batches.Add(1)
-			s.obs.Counter(obs.L("alignsvc_batches_total", "tier", tier.String())).Inc()
-			if tier == TierCPU {
-				s.cpuFallbacks.Add(1)
-			}
-			return &BatchResult{Scores: scores, Report: *rep}, nil
-		}
-		at.Err = err.Error()
-		rep.Attempts = append(rep.Attempts, at)
-		if at.ValidationFailed {
-			s.obs.Counter(obs.L("alignsvc_validation_failures_total", "tier", tier.String())).Inc()
-		}
-		if isCtxErr(err) {
-			return nil, err
-		}
-		lastErr = err
-		if a+1 < attempts {
-			rep.Retries++
-			s.retries.Add(1)
-			s.obs.Counter(obs.L("alignsvc_retries_total", "tier", tier.String())).Inc()
-			if err := s.backoff(ctx, a, rng); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nil, lastErr
-}
-
-// runTier executes one attempt of one tier through its Backend, converting
-// panics to errors and collecting the attempt's injected-fault counts.
-func (s *Service) runTier(ctx context.Context, tier Tier, pairs []dna.Pair, seq, attempt uint64) (scores []int, counts cudasim.FaultCounts, err error) {
+// runRung calls one rung's backend, converting a panic into an error.
+func (s *Service) runRung(ctx context.Context, tier Tier, pairs []dna.Pair, seq uint64) (scores []int, st BatchStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicsRecovered.Add(1)
@@ -592,138 +455,14 @@ func (s *Service) runTier(ctx context.Context, tier Tier, pairs []dna.Pair, seq,
 			err = fmt.Errorf("alignsvc: recovered %s-tier panic: %v", tier, r)
 		}
 	}()
-	scores, st, err := s.backends[tier].AlignBatch(ctx, pairs, BatchOpts{Seq: seq, Attempt: attempt})
-	return scores, st.Faults, err
-}
-
-// runTierFleet runs one GPU-tier attempt through the fleet scheduler: the
-// batch is sharded across the fleet's devices, each shard executing the
-// tier's pipeline on its device's spec and memory with a per-execution
-// fault stream (the device's flaky profile and kill switch layered on the
-// service's chaos config). The fleet's CPU member serves re-dispatched
-// shards with the native striped engine — still exact (the engine widens
-// on overflow down to the scalar reference) but at wall-clock GCUPS, so a
-// device loss degrades throughput, not latency class. Injected-fault
-// counts are summed across every shard execution, including the ones whose
-// shard was later re-run elsewhere.
-func (s *Service) runTierFleet(ctx context.Context, tier Tier, pairs []dna.Pair) ([]int, cudasim.FaultCounts, error) {
-	var mu sync.Mutex
-	var total cudasim.FaultCounts
-	exec := func(ctx context.Context, d *fleet.Device, shard []dna.Pair) (scores []int, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				s.panicsRecovered.Add(1)
-				s.obs.Counter(obs.L("alignsvc_panics_recovered_total", "tier", tier.String())).Inc()
-				err = fmt.Errorf("alignsvc: recovered %s-tier panic on %s: %v", tier, d.Name(), r)
-			}
-		}()
-		if d.CPU() {
-			if d.Killed() {
-				return nil, &cudasim.KilledError{Op: cudasim.FaultLaunch}
-			}
-			scores, _, err := s.stripedEng.ScoreBatch(ctx, shard, s.scoring())
-			return scores, err
-		}
-		cfg := s.cfg.Pipeline
-		if cfg.Metrics == nil {
-			cfg.Metrics = s.obs
-		}
-		cfg.Device = d.Spec()
-		if d.GlobalBytes() > 0 && cfg.GlobalBytes == 0 {
-			cfg.GlobalBytes = d.GlobalBytes()
-		}
-		inj := d.NewInjector(*s.faults.Load(), s.fleetSeq.Add(1)*0x9e3779b97f4a7c15|1)
-		cfg.Faults = inj
-		r, err := runPipeline(ctx, tier, shard, cfg, s.cfg.Lanes)
-		c := inj.Counts()
-		mu.Lock()
-		total.HtoD += c.HtoD
-		total.DtoH += c.DtoH
-		total.Alloc += c.Alloc
-		total.Launch += c.Launch
-		total.BitFlips += c.BitFlips
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return r.Scores, nil
-	}
-	scores, err := s.cfg.Fleet.Run(ctx, pairs, exec)
-	mu.Lock()
-	counts := total
-	mu.Unlock()
-	if err != nil {
-		return nil, counts, err
-	}
-	return scores, counts, nil
-}
-
-func (s *Service) scoring() swa.Scoring {
-	if s.cfg.Pipeline.Scoring == (swa.Scoring{}) {
-		return swa.PaperScoring
-	}
-	return s.cfg.Pipeline.Scoring
+	return s.backends[tier].AlignBatch(ctx, pairs, BatchOpts{Seq: seq})
 }
 
 // Scoring reports the effective scoring scheme the service aligns with.
 // The cluster layer uses it to derive the same cache keys this service
 // derives, so consistent-hash routing lands forwards on warm caches.
-func (s *Service) Scoring() swa.Scoring { return s.scoring() }
+func (s *Service) Scoring() swa.Scoring { return s.cfg.scoring() }
 
 // Lanes reports the effective bitwise lane width (32 or 64), the other
 // input of the content-address cache key.
 func (s *Service) Lanes() int { return s.cfg.Lanes }
-
-// validate re-scores a sample of the batch on the CPU reference and fails
-// on the first disagreement. Returns how many pairs were checked.
-func (s *Service) validate(ctx context.Context, pairs []dna.Pair, scores []int, rng *rand.Rand) (int, error) {
-	if s.cfg.ValidateFrac < 0 || len(pairs) == 0 {
-		return 0, nil
-	}
-	if len(scores) != len(pairs) {
-		return 0, fmt.Errorf("alignsvc: got %d scores for %d pairs", len(scores), len(pairs))
-	}
-	sc := s.scoring()
-	check := func(i int) error {
-		if want := swa.Score(pairs[i].X, pairs[i].Y, sc); scores[i] != want {
-			return &ValidationError{Index: i, Got: scores[i], Want: want}
-		}
-		return nil
-	}
-	if s.cfg.ValidateFrac >= 1 {
-		for i := range pairs {
-			if i%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return i, err
-				}
-			}
-			if err := check(i); err != nil {
-				return i + 1, err
-			}
-		}
-		return len(pairs), nil
-	}
-	n := max(1, int(float64(len(pairs))*s.cfg.ValidateFrac))
-	for k := 0; k < n; k++ {
-		if k%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return k, err
-			}
-		}
-		if err := check(rng.IntN(len(pairs))); err != nil {
-			return k + 1, err
-		}
-	}
-	return n, nil
-}
-
-// backoff sleeps base·2^attempt with half-interval jitter, capped at
-// MaxBackoff, honouring the context.
-func (s *Service) backoff(ctx context.Context, attempt int, rng *rand.Rand) error {
-	d := s.cfg.BaseBackoff << attempt
-	if d > s.cfg.MaxBackoff || d <= 0 {
-		d = s.cfg.MaxBackoff
-	}
-	d = d/2 + time.Duration(rng.Int64N(int64(d/2)+1))
-	return s.cfg.sleep(ctx, d)
-}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,7 +264,7 @@ func TestBackoffShape(t *testing.T) {
 }
 
 func TestWorkerPoolConcurrency(t *testing.T) {
-	s := New(Config{Seed: 2, Workers: 2, Queue: 1})
+	s := New(Config{Seed: 2, Workers: 2})
 	defer s.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -284,6 +286,69 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 	}
 }
 
+// gateBackend holds every batch until release is closed, recording how
+// many ran inside it at once.
+type gateBackend struct {
+	running, peak atomic.Int64
+	release       chan struct{}
+}
+
+func (b *gateBackend) Name() string { return "gate" }
+
+func (b *gateBackend) AlignBatch(_ context.Context, pairs []dna.Pair, _ BatchOpts) ([]int, BatchStats, error) {
+	n := b.running.Add(1)
+	for p := b.peak.Load(); n > p && !b.peak.CompareAndSwap(p, n); p = b.peak.Load() {
+	}
+	<-b.release
+	b.running.Add(-1)
+	return refScores(pairs), BatchStats{}, nil
+}
+
+// TestAdmissionBoundAndClose checks that no more than Workers batches run at
+// once, that callers waiting for a slot get ErrClosed once Close starts, and
+// that Close returns only after the running batches finish with scores.
+func TestAdmissionBoundAndClose(t *testing.T) {
+	s := New(Config{Seed: 1, Workers: 2, Backend: BackendCPURef})
+	gate := &gateBackend{release: make(chan struct{})}
+	s.backends[TierCPU] = gate
+	pairs := plantedPairs(4, 8, 16, 1)
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		go func() {
+			_, err := s.Align(context.Background(), pairs)
+			errs <- err
+		}()
+	}
+	for gate.running.Load() < 2 {
+		runtime.Gosched()
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	for i := 0; i < 6; i++ {
+		if err := <-errs; !errors.Is(err, ErrClosed) {
+			t.Fatalf("waiting caller got %v, want ErrClosed", err)
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while batches were running")
+	default:
+	}
+	close(gate.release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("running batch failed: %v", err)
+		}
+	}
+	<-closed
+	if p := gate.peak.Load(); p != 2 {
+		t.Fatalf("peak concurrent batches = %d, want 2", p)
+	}
+}
+
 func TestCloseRejectsNewWork(t *testing.T) {
 	s := New(Config{Seed: 1})
 	s.Close()
@@ -292,8 +357,10 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 }
 
-func TestStartTierSkipsRungs(t *testing.T) {
-	s := New(Config{Seed: 1, StartTier: TierCPU})
+// TestCPURefBackendSkipsRungs selects the reference rung by backend name:
+// one attempt, on the CPU, none on the simulated tiers.
+func TestCPURefBackendSkipsRungs(t *testing.T) {
+	s := New(Config{Seed: 1, Backend: BackendCPURef})
 	defer s.Close()
 	pairs := plantedPairs(48, 16, 32, 12)
 	res, err := s.Align(context.Background(), pairs)
@@ -302,7 +369,7 @@ func TestStartTierSkipsRungs(t *testing.T) {
 	}
 	assertScores(t, res.Scores, refScores(pairs))
 	if res.Report.Tier != TierCPU || len(res.Report.Attempts) != 1 {
-		t.Fatalf("StartTier=cpu report: %+v", res.Report)
+		t.Fatalf("cpu-ref report: %+v", res.Report)
 	}
 }
 

@@ -9,84 +9,6 @@ import (
 	"repro/internal/cudasim"
 )
 
-// fakeClock is a manually advanced clock for breaker unit tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func TestBreakerStateMachine(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := newBreaker(2, 100*time.Millisecond, clk.now)
-
-	// Closed: failures below the threshold keep it closed, a success resets.
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("fresh breaker should allow")
-	}
-	b.release(tierFailed, false)
-	b.release(tierSucceeded, false)
-	if snap, _, _, _ := b.snapshot(TierBitwise); snap.State != BreakerClosed || snap.Failures != 0 {
-		t.Fatalf("after fail+success: %+v", snap)
-	}
-
-	// Two consecutive failures trip it open.
-	for i := 0; i < 2; i++ {
-		if ok, _ := b.allow(); !ok {
-			t.Fatalf("closed breaker refused at failure %d", i)
-		}
-		b.release(tierFailed, false)
-	}
-	if ok, _ := b.allow(); ok {
-		t.Fatal("open breaker should short-circuit")
-	}
-
-	// Cooldown elapses → half-open admits exactly one probe.
-	clk.advance(101 * time.Millisecond)
-	ok, probe := b.allow()
-	if !ok || !probe {
-		t.Fatalf("want half-open probe, got ok=%v probe=%v", ok, probe)
-	}
-	if ok, _ := b.allow(); ok {
-		t.Fatal("second request during probe should short-circuit")
-	}
-
-	// Abandoned probe (context error) releases the slot without deciding.
-	b.release(tierAbandoned, true)
-	if snap, _, _, _ := b.snapshot(TierBitwise); snap.State != BreakerHalfOpen {
-		t.Fatalf("abandoned probe moved state to %v", snap.State)
-	}
-
-	// Failed probe re-opens for a fresh cooldown.
-	_, probe = b.allow()
-	b.release(tierFailed, probe)
-	if ok, _ := b.allow(); ok {
-		t.Fatal("breaker should re-open after failed probe")
-	}
-
-	// Successful probe closes.
-	clk.advance(101 * time.Millisecond)
-	_, probe = b.allow()
-	b.release(tierSucceeded, probe)
-	snap, trips, shorts, probes := b.snapshot(TierBitwise)
-	if snap.State != BreakerClosed {
-		t.Fatalf("after successful probe: %+v", snap)
-	}
-	if trips != 2 || shorts != 3 || probes != 3 {
-		t.Fatalf("counters trips=%d shorts=%d probes=%d, want 2/3/3", trips, shorts, probes)
-	}
-}
-
-func TestNilBreakerAlwaysAllows(t *testing.T) {
-	var b *breaker
-	if ok, probe := b.allow(); !ok || probe {
-		t.Fatalf("nil breaker allow() = %v, %v", ok, probe)
-	}
-	b.release(tierFailed, false) // must not panic
-	if snap, _, _, _ := b.snapshot(TierCPU); snap.State != BreakerClosed {
-		t.Fatalf("nil snapshot: %+v", snap)
-	}
-}
-
 // TestBreakerTripsAndRecovers is the acceptance scenario: repeated bitwise
 // failures trip the breaker open so later batches skip the GPU tiers
 // entirely, and once the faults stop a half-open probe closes it again.

@@ -100,7 +100,6 @@ func (f *File) CollectCluster(ctx context.Context, spec workload.Spec, n int) er
 		reg := obs.NewRegistry()
 		nd.svc = alignsvc.New(alignsvc.Config{
 			Seed:    uint64(1000 + i),
-			Queue:   64,
 			Cache:   aligncache.New(aligncache.Config{MaxBytes: 64 << 20, Metrics: reg}),
 			Metrics: reg,
 		})

@@ -17,11 +17,11 @@
 // mode degrades to local execution.
 //
 // Peer health is probed (healthy → suspect → quarantined → probing, the
-// fleet scheduler's machine shape) and feeds ring membership: keys re-home
-// when a node dies and re-home back when it is readmitted. A draining node
-// removes itself from its own ring and hands the hot part of its key space
-// to the new owners (POST /cluster/warm), so a rolling restart does not
-// cold-start the cache.
+// internal/health machine fleet devices also use) and feeds ring
+// membership: keys re-home when a node dies and re-home back when it is
+// readmitted. A draining node removes itself from its own ring and hands
+// the hot part of its key space to the new owners (POST /cluster/warm), so
+// a rolling restart does not cold-start the cache.
 //
 // Forwarded requests carry the X-SWA-Forwarded header and are always served
 // locally by the receiver — one hop, never chains — so a stale ring cannot
@@ -47,6 +47,7 @@ import (
 	"repro/internal/aligncache"
 	"repro/internal/alignsvc"
 	"repro/internal/dna"
+	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/swa"
 )
@@ -213,61 +214,44 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is one peer's health state, the fleet scheduler's machine shape
-// applied to remote nodes.
-type State int
+// State is one peer's health state: the machine fleet devices use
+// (internal/health) applied to remote nodes. Unlike a device, a quarantined
+// peer is readmitted by any successful forward or readiness probe.
+type State = health.State
 
+// The peer health states. Healthy and suspect peers are ring members;
+// quarantined and probing peers are out of the ring, their keys re-homed.
 const (
-	// Healthy peers are ring members and receive forwards.
-	Healthy State = iota
-	// Suspect peers are still ring members but one failure streak away
-	// from quarantine.
-	Suspect
-	// Quarantined peers are out of the ring — their keys have re-homed —
-	// until the probe cooldown elapses.
-	Quarantined
-	// Probing peers are being health-checked for readmission; still out of
-	// the ring until the probe succeeds.
-	Probing
+	Healthy     = health.Healthy
+	Suspect     = health.Suspect
+	Quarantined = health.Quarantined
+	Probing     = health.Probing
 )
 
-var stateNames = [...]string{"healthy", "suspect", "quarantined", "probing"}
+// BreakerState is a peer breaker's state (see health.Breaker): a peer whose
+// forwards keep failing is short-circuited, so a dead node costs at most one
+// timeout per cooldown, not one per request.
+type BreakerState = health.BreakerState
 
-func (s State) String() string {
-	if s < 0 || int(s) >= len(stateNames) {
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-	return stateNames[s]
-}
-
-// MarshalText renders the state name, so snapshots JSON-encode readably.
-func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
-// UnmarshalText parses a state name.
-func (s *State) UnmarshalText(b []byte) error {
-	for i, n := range stateNames {
-		if n == string(b) {
-			*s = State(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("cluster: unknown state %q", b)
-}
+// The peer breaker states.
+const (
+	BreakerClosed   = health.BreakerClosed
+	BreakerOpen     = health.BreakerOpen
+	BreakerHalfOpen = health.BreakerHalfOpen
+)
 
 // peer is one remote member plus everything we know about it.
 type peer struct {
 	id, url string
-	br      *breaker
+	// br is the peer's forward breaker. A 429 is deliberately never
+	// reported to it: an alive-but-shedding peer is healthy.
+	br *health.Breaker
 
 	// health fields are guarded by the Cluster's mu (membership changes
 	// must atomically rebuild the ring).
-	state         State
-	consec        int
-	lastErr       string
-	quarantinedAt time.Time
-	lastProbe     time.Time
-	quarantines   int64
-	readmissions  int64
+	health    health.Member
+	lastErr   string
+	lastProbe time.Time
 
 	forwards      atomic.Int64 // forward calls answered by this peer
 	forwardErrs   atomic.Int64 // forward calls that failed (transport/HTTP)
@@ -283,8 +267,9 @@ type peer struct {
 // Cluster routes batches across the peer set. It is safe for concurrent use.
 // A nil *Cluster is inert: the server treats it as "no cluster".
 type Cluster struct {
-	cfg  Config
-	self string
+	cfg    Config
+	policy health.Policy
+	self   string
 
 	mu          sync.Mutex // peers' health + ring rebuilds
 	peers       map[string]*peer
@@ -337,6 +322,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
+		policy: health.Policy{SuspectAfter: cfg.SuspectAfter, QuarantineAfter: cfg.QuarantineAfter},
 		self:   cfg.NodeID,
 		peers:  make(map[string]*peer, len(cfg.Peers)),
 		closed: make(chan struct{}),
@@ -352,7 +338,7 @@ func New(cfg Config) (*Cluster, error) {
 		if _, dup := c.peers[p.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate peer id %q", p.ID)
 		}
-		pr := &peer{id: p.ID, url: p.URL, br: newPeerBreaker(cfg.BreakerFailures, cfg.BreakerCooldown)}
+		pr := &peer{id: p.ID, url: p.URL, br: health.NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, nil, nil)}
 		c.peers[p.ID] = pr
 		c.order = append(c.order, pr)
 	}
@@ -398,6 +384,7 @@ func (c *Cluster) initMetrics() {
 	c.mWarm = m.Counter("cluster_warm_accepted_total")
 	for _, p := range c.order {
 		p.mState = m.Gauge(obs.L("cluster_peer_state", "peer", p.id))
+		p.health.OnChange = func(to State) { p.mState.Set(float64(to)) }
 		p.mQuar = m.Counter(obs.L("cluster_quarantines_total", "peer", p.id))
 		p.mRead = m.Counter(obs.L("cluster_readmissions_total", "peer", p.id))
 		p.mFwd = m.Counter(obs.L("cluster_forwards_total", "peer", p.id))
@@ -435,7 +422,7 @@ func (c *Cluster) rebuildRingLocked() {
 		members = append(members, c.self)
 	}
 	for _, p := range c.order {
-		if p.state == Healthy || p.state == Suspect {
+		if p.health.InRotation() {
 			members = append(members, p.id)
 		}
 	}
@@ -447,15 +434,14 @@ func (c *Cluster) rebuildRingLocked() {
 	}
 }
 
-// setStateLocked moves a peer's health state, exporting the gauge.
-func (c *Cluster) setStateLocked(p *peer, to State) {
-	if p.state == to {
-		return
+// noteRehomeLocked counts a membership change and rebuilds the ring, so
+// the changed peer's arcs re-home. Callers hold c.mu.
+func (c *Cluster) noteRehomeLocked() {
+	c.rehomes++
+	if c.mRehomes != nil {
+		c.mRehomes.Inc()
 	}
-	p.state = to
-	if p.mState != nil {
-		p.mState.Set(float64(to))
-	}
+	c.rebuildRingLocked()
 }
 
 // noteSuccess resets a peer's failure streak; quarantined/probing peers are
@@ -463,23 +449,12 @@ func (c *Cluster) setStateLocked(p *peer, to State) {
 func (c *Cluster) noteSuccess(p *peer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p.consec = 0
 	p.lastErr = ""
-	switch p.state {
-	case Healthy:
-	case Suspect:
-		c.setStateLocked(p, Healthy)
-	case Quarantined, Probing:
-		c.setStateLocked(p, Healthy)
-		p.readmissions++
+	if p.health.Success(true) {
 		if p.mRead != nil {
 			p.mRead.Inc()
 		}
-		c.rehomes++
-		if c.mRehomes != nil {
-			c.mRehomes.Inc()
-		}
-		c.rebuildRingLocked()
+		c.noteRehomeLocked()
 	}
 }
 
@@ -488,29 +463,14 @@ func (c *Cluster) noteSuccess(p *peer) {
 func (c *Cluster) noteFailure(p *peer, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p.consec++
 	if err != nil {
 		p.lastErr = err.Error()
 	}
-	switch {
-	case p.consec >= c.cfg.QuarantineAfter && p.state != Quarantined && p.state != Probing:
-		c.setStateLocked(p, Quarantined)
-		p.quarantinedAt = time.Now()
-		p.quarantines++
+	if p.health.Failure(c.policy, time.Now()) {
 		if p.mQuar != nil {
 			p.mQuar.Inc()
 		}
-		c.rehomes++
-		if c.mRehomes != nil {
-			c.mRehomes.Inc()
-		}
-		c.rebuildRingLocked()
-	case p.consec >= c.cfg.SuspectAfter && p.state == Healthy:
-		c.setStateLocked(p, Suspect)
-	case p.state == Probing:
-		// Failed readmission probe: back to quarantine, restart cooldown.
-		c.setStateLocked(p, Quarantined)
-		p.quarantinedAt = time.Now()
+		c.noteRehomeLocked()
 	}
 }
 
@@ -752,7 +712,7 @@ var errShortCircuit = errors.New("cluster: peer breaker open")
 // peer's health, and retries transport failures with jittered backoff up to
 // MaxRetries. Any error return means "fall back to local".
 func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, error) {
-	allowed, probe := p.br.allow()
+	allowed, probe := p.br.Allow()
 	if !allowed {
 		c.shortCircuits.Add(1)
 		if c.mShortC != nil {
@@ -763,7 +723,7 @@ func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, 
 
 	body, err := json.Marshal(c.wireRequest(ctx, sub))
 	if err != nil {
-		p.br.release(probe)
+		p.br.Done(health.Abandoned, probe)
 		return nil, fmt.Errorf("cluster: encode forward: %w", err)
 	}
 
@@ -772,13 +732,13 @@ func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, 
 		if attempt > 0 {
 			backoff := c.cfg.RetryBackoff + time.Duration(rand.Int63n(int64(c.cfg.RetryBackoff)))
 			if !sleepCtx(ctx, backoff) {
-				p.br.release(probe)
+				p.br.Done(health.Abandoned, probe)
 				return nil, ctx.Err()
 			}
 		}
 		scores, retryAfter, err := c.post(ctx, p, body, len(sub))
 		if err == nil {
-			p.br.success()
+			p.br.Done(health.Succeeded, probe)
 			c.noteSuccess(p)
 			p.forwards.Add(1)
 			if p.mFwd != nil {
@@ -792,7 +752,7 @@ func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, 
 			p.mFErr.Inc()
 		}
 		if ctx.Err() != nil {
-			p.br.release(probe)
+			p.br.Done(health.Abandoned, probe)
 			return nil, err
 		}
 		if retryAfter >= 0 {
@@ -801,12 +761,12 @@ func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, 
 			// allows, then retry; otherwise degrade to local.
 			c.retry429Waits.Add(1)
 			if !sleepCtx(ctx, retryAfter) {
-				p.br.release(probe)
+				p.br.Done(health.Abandoned, probe)
 				return nil, err
 			}
 			continue
 		}
-		p.br.fail()
+		p.br.Done(health.Failed, probe)
 		c.noteFailure(p, err)
 		if probe {
 			// The half-open probe failed; don't burn retries on a peer the
@@ -814,6 +774,9 @@ func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, 
 			return nil, err
 		}
 	}
+	// Out of retries on 429s: the peer is alive, so the outcome is unknown,
+	// but a half-open probe slot must not stay taken.
+	p.br.Done(health.Abandoned, probe)
 	return nil, lastErr
 }
 
@@ -955,19 +918,16 @@ func (c *Cluster) prober() {
 		var due []*peer
 		c.mu.Lock()
 		for _, p := range c.order {
-			switch p.state {
-			case Healthy, Suspect:
-				if now.Sub(p.lastProbe) >= c.cfg.ProbeInterval {
-					p.lastProbe = now
-					due = append(due, p)
+			switch {
+			case p.health.InRotation():
+				if now.Sub(p.lastProbe) < c.cfg.ProbeInterval {
+					continue
 				}
-			case Quarantined:
-				if now.Sub(p.quarantinedAt) >= c.cfg.ProbeInterval {
-					c.setStateLocked(p, Probing)
-					p.lastProbe = now
-					due = append(due, p)
-				}
+			case !p.health.StartProbe(c.cfg.ProbeInterval, now):
+				continue
 			}
+			p.lastProbe = now
+			due = append(due, p)
 		}
 		c.mu.Unlock()
 		for _, p := range due {
@@ -1057,15 +1017,11 @@ func (c *Cluster) BeginDrain(ctx context.Context) {
 		return
 	}
 	c.mu.Lock()
-	c.rebuildRingLocked() // self is gone: our arcs re-home to the survivors
-	c.rehomes++
-	if c.mRehomes != nil {
-		c.mRehomes.Inc()
-	}
+	c.noteRehomeLocked() // self is gone: our arcs re-home to the survivors
 	r := c.currentRing()
 	live := make(map[string]*peer, len(c.peers))
 	for id, p := range c.peers {
-		if p.state == Healthy || p.state == Suspect {
+		if p.health.InRotation() {
 			live[id] = p
 		}
 	}

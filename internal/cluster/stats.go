@@ -77,19 +77,19 @@ func (c *Cluster) Stats() Stats {
 	st.RingVersion = c.ringVersion
 	st.Rehomes = c.rehomes
 	for _, p := range c.order {
-		brState, trips, _ := p.br.snapshot()
+		br := p.br.Stats()
 		snap := PeerSnapshot{
 			ID:             p.id,
 			URL:            p.url,
-			State:          p.state,
-			ConsecFailures: p.consec,
-			Quarantines:    p.quarantines,
-			Readmissions:   p.readmissions,
+			State:          p.health.State,
+			ConsecFailures: p.health.Consec,
+			Quarantines:    p.health.Quarantines,
+			Readmissions:   p.health.Readmissions,
 			Forwards:       p.forwards.Load(),
 			ForwardErrors:  p.forwardErrs.Load(),
 			PeerCacheHits:  p.peerCacheHits.Load(),
-			Breaker:        brState,
-			BreakerTrips:   trips,
+			Breaker:        br.State,
+			BreakerTrips:   br.Trips,
 			LastError:      p.lastErr,
 		}
 		st.PeerCacheHits += snap.PeerCacheHits

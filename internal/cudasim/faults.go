@@ -102,6 +102,12 @@ func (c FaultCounts) Total() int {
 	return c.HtoD + c.DtoH + c.Alloc + c.Launch + c.BitFlips
 }
 
+// Add returns the class-by-class sum of c and o.
+func (c FaultCounts) Add(o FaultCounts) FaultCounts {
+	return FaultCounts{HtoD: c.HtoD + o.HtoD, DtoH: c.DtoH + o.DtoH, Alloc: c.Alloc + o.Alloc,
+		Launch: c.Launch + o.Launch, BitFlips: c.BitFlips + o.BitFlips}
+}
+
 // FaultInjector draws deterministic fault decisions from a seeded PCG
 // stream. It is safe for concurrent use; the decision sequence depends only
 // on the seed and the order of device operations.

@@ -7,58 +7,26 @@ import (
 	"time"
 
 	"repro/internal/cudasim"
+	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 )
 
-// State is a device's position in the health state machine:
-//
-//	Healthy ──failure──▶ Suspect ──more failures──▶ Quarantined
-//	   ▲                    │                            │ cooldown
-//	   │ success            ▼                            ▼
-//	   └────────────── (back to Healthy)              Probing
-//	   ▲                                                 │
-//	   └──────── probe passes (readmission) ◀────────────┘
-//	                                          probe fails → Quarantined
-type State int
+// State is a device's position in the shared health machine (see
+// internal/health): healthy → suspect → quarantined → probing → readmitted.
+// A device is readmitted only by its self-test, never by a shard that
+// happened to succeed while it was quarantined.
+type State = health.State
 
+// The device health states. A breaker opening on a GPU tier also marks GPU
+// members suspect; quarantined devices' queued shards are drained by
+// stealing.
 const (
-	// Healthy devices take work normally.
-	Healthy State = iota
-	// Suspect devices still take work but are one failure streak away from
-	// quarantine; a breaker opening on a GPU tier also marks GPU members
-	// suspect.
-	Suspect
-	// Quarantined devices take no work; their queued shards are drained by
-	// stealing. After the probe cooldown the prober moves them to Probing.
-	Quarantined
-	// Probing devices are running an out-of-band self-test; they take no
-	// traffic until the probe passes and they are readmitted.
-	Probing
+	Healthy     = health.Healthy
+	Suspect     = health.Suspect
+	Quarantined = health.Quarantined
+	Probing     = health.Probing
 )
-
-var stateNames = [...]string{"healthy", "suspect", "quarantined", "probing"}
-
-func (s State) String() string {
-	if s < 0 || int(s) >= len(stateNames) {
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-	return stateNames[s]
-}
-
-// MarshalText renders the state name, so snapshots JSON-encode readably.
-func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
-// UnmarshalText parses a state name.
-func (s *State) UnmarshalText(b []byte) error {
-	for i, n := range stateNames {
-		if n == string(b) {
-			*s = State(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("fleet: unknown state %q", b)
-}
 
 // DeviceConfig describes one fleet member.
 type DeviceConfig struct {
@@ -90,17 +58,13 @@ type Device struct {
 	ks          *cudasim.KillSwitch
 
 	// All fields below are guarded by the owning Scheduler's mu.
-	state         State
-	queue         []*task
-	consec        int // consecutive failures
-	quarantinedAt time.Time
-	running       *task
-	runningSince  time.Time
+	health       health.Member
+	queue        []*task
+	running      *task
+	runningSince time.Time
 
 	completed, failed int64
 	steals            int64 // shards this device stole from another queue
-	quarantines       int64
-	readmissions      int64
 	probes            int64
 	timeouts          int64
 	pairsDone         int64
@@ -150,15 +114,6 @@ func combineRates(a, b float64) float64 {
 	return 1 - (1-a)*(1-b)
 }
 
-// setState transitions the device (caller holds the scheduler lock) and
-// mirrors the transition into the state gauge.
-func (d *Device) setState(s State) {
-	d.state = s
-	if d.mState != nil {
-		d.mState.Set(float64(s))
-	}
-}
-
 // noteDepth mirrors the queue depth into its gauge (caller holds the lock).
 func (d *Device) noteDepth() {
 	if d.mDepth != nil {
@@ -168,9 +123,7 @@ func (d *Device) noteDepth() {
 
 // takesWork reports whether the device may pick up shards (caller holds the
 // scheduler lock).
-func (d *Device) takesWork() bool {
-	return d.state == Healthy || d.state == Suspect
-}
+func (d *Device) takesWork() bool { return d.health.InRotation() }
 
 // selfTest is the out-of-band probe a quarantined device must pass to be
 // readmitted: a fresh tiny simulated device with the member's flaky profile

@@ -4,15 +4,15 @@
 // batches are split into shards, shards are spread over per-device bounded
 // queues with work-stealing for load balance, stragglers are hedged onto a
 // second device, and a per-device health state machine (healthy → suspect →
-// quarantined → probing → readmitted) takes failing devices out of rotation
-// and probes them back in. Device loss is first-class: KillDevice flips a
+// quarantined → probing → readmitted, internal/health) takes failing devices
+// out of rotation and probes them back in. Device loss is first-class: KillDevice flips a
 // cudasim.KillSwitch observed mid-launch, the lost shards are re-queued to
 // surviving members (the CPU fallback is the last-resort member), and the
 // merge of results is claim-once, so a hedged shard is never double-counted.
 //
 // The partitioning approach follows SWAPHI's multi-card design (static
-// split plus dynamic work distribution); the health machinery mirrors what
-// a cross-node cluster will need, kept in-process here (see DESIGN.md §12).
+// split plus dynamic work distribution); the health machine is the one
+// internal/cluster applies to remote peers (see DESIGN.md §12).
 package fleet
 
 import (
@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cudasim"
 	"repro/internal/dna"
+	"repro/internal/health"
 	"repro/internal/obs"
 )
 
@@ -85,7 +86,8 @@ type Config struct {
 // and (when hedging is on) a hedger. Close stops everything and fails the
 // in-flight batches with ErrClosed.
 type Scheduler struct {
-	cfg Config
+	cfg    Config
+	policy health.Policy
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -190,6 +192,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg:      cfg,
+		policy:   health.Policy{SuspectAfter: cfg.SuspectAfter, QuarantineAfter: cfg.QuarantineAfter},
 		byName:   make(map[string]*Device, len(cfg.Devices)),
 		inflight: make(map[*batch]struct{}),
 		stop:     make(chan struct{}),
@@ -210,10 +213,10 @@ func New(cfg Config) (*Scheduler, error) {
 			globalBytes: dc.GlobalBytes,
 			flaky:       dc.Flaky,
 			ks:          &cudasim.KillSwitch{},
-			state:       Healthy,
 		}
 		if m := cfg.Metrics; m != nil {
 			d.mState = m.Gauge(obs.L("fleet_device_state", "device", d.name))
+			d.health.OnChange = func(to State) { d.mState.Set(float64(to)) }
 			d.mDepth = m.Gauge(obs.L("fleet_device_queue_depth", "device", d.name))
 			d.mSteals = m.Counter(obs.L("fleet_steals_total", "device", d.name))
 			d.mQuar = m.Counter(obs.L("fleet_quarantines_total", "device", d.name))
@@ -570,7 +573,9 @@ func (s *Scheduler) runTask(d *Device, t *task) {
 	if err == nil {
 		d.completed++
 		d.pairsDone += int64(t.n)
-		s.noteSuccessLocked(d)
+		// A served shard clears suspicion but never readmits: a quarantined
+		// device comes back only through its self-test.
+		d.health.Success(false)
 		if t.claimed.CompareAndSwap(false, true) {
 			copy(t.b.scores[t.offset:t.offset+t.n], scores)
 			t.b.finishShard()
@@ -627,28 +632,10 @@ func runGuarded(ctx context.Context, exec ExecFunc, d *Device, pairs []dna.Pair)
 	return exec(ctx, d, pairs)
 }
 
-// noteSuccessLocked resets the failure streak; a suspect device that
-// serves successfully is healthy again.
-func (s *Scheduler) noteSuccessLocked(d *Device) {
-	d.consec = 0
-	if d.state == Suspect {
-		d.setState(Healthy)
-	}
-}
-
-// noteFailureLocked advances the failure streak through the state machine.
+// noteFailureLocked advances the failure streak through the health machine.
 func (s *Scheduler) noteFailureLocked(d *Device) {
-	d.consec++
-	switch {
-	case d.consec >= s.cfg.QuarantineAfter && d.state != Quarantined:
-		d.setState(Quarantined)
-		d.quarantinedAt = s.cfg.now()
-		d.quarantines++
-		if d.mQuar != nil {
-			d.mQuar.Inc()
-		}
-	case d.consec >= s.cfg.SuspectAfter && d.state == Healthy:
-		d.setState(Suspect)
+	if d.health.Failure(s.policy, s.cfg.now()) && d.mQuar != nil {
+		d.mQuar.Inc()
 	}
 }
 
@@ -697,8 +684,8 @@ func (s *Scheduler) NoteBreakerOpen(tier string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, d := range s.devices {
-		if !d.cpu && d.state == Healthy {
-			d.setState(Suspect)
+		if !d.cpu {
+			d.health.MarkSuspect()
 		}
 	}
 }
@@ -721,8 +708,7 @@ func (s *Scheduler) prober() {
 		s.mu.Lock()
 		var due []*Device
 		for _, d := range s.devices {
-			if d.state == Quarantined && s.cfg.now().Sub(d.quarantinedAt) >= s.cfg.ProbeInterval {
-				d.setState(Probing)
+			if d.health.StartProbe(s.cfg.ProbeInterval, s.cfg.now()) {
 				d.probes++
 				due = append(due, d)
 			}
@@ -732,18 +718,15 @@ func (s *Scheduler) prober() {
 		for _, d := range due {
 			err := d.selfTest(s.seq.Add(1))
 			s.mu.Lock()
-			if d.state == Probing { // Close may have raced; be defensive
+			if d.health.State == Probing { // a shard failure may have re-quarantined it
 				if err == nil {
-					d.setState(Healthy)
-					d.consec = 0
-					d.readmissions++
+					d.health.Success(true)
 					if d.mRead != nil {
 						d.mRead.Inc()
 					}
 					s.cond.Broadcast()
 				} else {
-					d.setState(Quarantined)
-					d.quarantinedAt = s.cfg.now()
+					d.health.Failure(s.policy, s.cfg.now())
 					d.lastErr = err.Error()
 				}
 			}

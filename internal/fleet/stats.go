@@ -59,15 +59,15 @@ func (s *Scheduler) Stats() Stats {
 	for _, d := range s.devices {
 		snap := DeviceSnapshot{
 			Name:         d.name,
-			State:        d.state,
+			State:        d.health.State,
 			CPU:          d.cpu,
 			Killed:       d.ks.Killed(),
 			QueueDepth:   len(d.queue),
 			Completed:    d.completed,
 			Failed:       d.failed,
 			Steals:       d.steals,
-			Quarantines:  d.quarantines,
-			Readmissions: d.readmissions,
+			Quarantines:  d.health.Quarantines,
+			Readmissions: d.health.Readmissions,
 			Probes:       d.probes,
 			Timeouts:     d.timeouts,
 			PairsDone:    d.pairsDone,

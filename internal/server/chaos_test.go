@@ -52,7 +52,6 @@ func TestChaosSoak(t *testing.T) {
 	svc := alignsvc.New(alignsvc.Config{
 		Seed:            99,
 		Workers:         4,
-		Queue:           8,
 		MaxAttempts:     2,
 		BaseBackoff:     100 * time.Microsecond,
 		MaxBackoff:      500 * time.Microsecond,

@@ -83,7 +83,6 @@ func newClusterNodes(t *testing.T, count int, tune func(i int, cfg *cluster.Conf
 		n.svc = alignsvc.New(alignsvc.Config{
 			Seed:    uint64(100 + i),
 			Workers: 4,
-			Queue:   64,
 			Cache:   aligncache.New(aligncache.Config{MaxBytes: 16 << 20, Metrics: reg}),
 			Metrics: reg,
 		})

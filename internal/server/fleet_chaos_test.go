@@ -52,7 +52,6 @@ func TestFleetChaosSoak(t *testing.T) {
 		Seed:            101,
 		Fleet:           fl,
 		Workers:         4,
-		Queue:           8,
 		MaxAttempts:     2,
 		BaseBackoff:     100 * time.Microsecond,
 		MaxBackoff:      500 * time.Microsecond,
