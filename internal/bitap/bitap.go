@@ -132,44 +132,64 @@ func MyersSearch(x, y dna.Seq, k int) ([]MyersHit, error) {
 	return hits, nil
 }
 
-// MyersMinDistance returns the minimum semi-global edit distance between
-// X and any substring of Y — min over j of MyersDistances(x, y)[j] —
-// without materialising the per-position slice. The corpus prefilter uses
-// it to refine k-mer candidates: one O(n) bit-parallel pass per candidate
-// decides whether the quadratic Smith-Waterman pass is worth running.
-// An empty Y has no substring ending anywhere, so the distance is len(x)
-// (delete everything), matching the DP's first column.
-func MyersMinDistance(x, y dna.Seq) (int, error) {
+// Pattern is a query compiled for Myers' bit-vector search: the per-base
+// occurrence masks are built once, then reused for every text the query
+// is matched against (the corpus prefilter matches one query against
+// thousands of k-mer survivors).
+type Pattern struct {
+	b [4]uint64
+	m int
+}
+
+// Compile prepares x (1..64 bases) for repeated MinDistance calls.
+func Compile(x dna.Seq) (*Pattern, error) {
 	b, err := masks(x)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	m := len(x)
-	high := uint64(1) << uint(m-1)
+	return &Pattern{b: b, m: len(x)}, nil
+}
+
+// MinDistance returns the minimum semi-global edit distance between the
+// pattern and any substring of y — min over j of MyersDistances(x, y)[j]
+// — without materialising the per-position slice. An empty y has no
+// substring ending anywhere, so the distance is len(x) (delete
+// everything), matching the DP's first column.
+//
+// The score update is branch-free. ph and mh never share a bit: an mh
+// bit needs pv and xh set, which clears ^(xh|pv), and mv is disjoint
+// from pv. So adding the top bit of ph and subtracting that of mh is the
+// +1/-1/0 step, with no data-dependent branch per text column.
+func (p *Pattern) MinDistance(y dna.Seq) int {
+	shift := uint(p.m - 1)
 	pv := ^uint64(0)
 	mv := uint64(0)
-	score := m
-	best := m
+	score := p.m
+	best := p.m
 	for _, c := range y {
-		eq := b[c&3]
+		eq := p.b[c&3]
 		xv := eq | mv
 		xh := (((eq & pv) + pv) ^ pv) | eq
 		ph := mv | ^(xh | pv)
 		mh := pv & xh
-		if ph&high != 0 {
-			score++
-		} else if mh&high != 0 {
-			score--
-		}
+		score += int(ph>>shift&1) - int(mh>>shift&1)
+		best = min(best, score)
 		ph <<= 1
 		mh <<= 1
 		pv = mh | ^(xv | ph)
 		mv = ph & xv
-		if score < best {
-			best = score
-		}
 	}
-	return best, nil
+	return best
+}
+
+// MyersMinDistance is Compile(x) followed by MinDistance(y), for a
+// pattern matched against a single text.
+func MyersMinDistance(x, y dna.Seq) (int, error) {
+	p, err := Compile(x)
+	if err != nil {
+		return 0, err
+	}
+	return p.MinDistance(y), nil
 }
 
 // EditDistancesRef is the quadratic reference for MyersDistances: the

@@ -224,3 +224,61 @@ func TestMyersMinDistanceEdges(t *testing.T) {
 		t.Errorf("empty text: distance %d, want 4", d)
 	}
 }
+
+// TestPatternMinDistanceMatchesReference checks the compiled, branch-free
+// loop against the quadratic DP, reusing one Pattern across many texts.
+// Pattern lengths include 1 (shift 0) and 64 (the top bit of the word);
+// text lengths span 0..200.
+func TestPatternMinDistanceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	for trial := 0; trial < 50; trial++ {
+		m := []int{1, 2, 17, 63, 64}[trial%5]
+		x := dna.RandSeq(rng, m)
+		p, err := Compile(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= 200; n += 1 + rng.IntN(8) {
+			y := dna.RandSeq(rng, n)
+			if n > m && rng.IntN(2) == 0 {
+				copy(y[rng.IntN(n-m+1):], x) // an exact hit: distance 0
+			}
+			want := m
+			for _, d := range EditDistancesRef(x, y) {
+				want = min(want, d)
+			}
+			if got := p.MinDistance(y); got != want {
+				t.Fatalf("m=%d n=%d: MinDistance = %d, want %d", m, n, got, want)
+			}
+		}
+	}
+	if _, err := Compile(nil); err == nil {
+		t.Error("empty pattern: want error")
+	}
+	if _, err := Compile(dna.RandSeq(rng, 65)); err == nil {
+		t.Error("pattern over 64: want error")
+	}
+}
+
+// BenchmarkPatternMinDistance is the prefilter's stage-two shape: one
+// 64-base query compiled once, then matched against 2,048 128-base texts.
+func BenchmarkPatternMinDistance(b *testing.B) {
+	rng := rand.New(rand.NewPCG(10, 10))
+	p, err := Compile(dna.RandSeq(rng, 64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	texts := make([]dna.Seq, 2048)
+	for i := range texts {
+		texts[i] = dna.RandSeq(rng, 128)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, y := range texts {
+			sinkDist += p.MinDistance(y)
+		}
+	}
+}
+
+var sinkDist int

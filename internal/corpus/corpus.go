@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"repro/internal/dna"
 )
@@ -194,6 +195,9 @@ type Corpus struct {
 	totalBases int64
 	maxLen     int
 	print      string
+	// counts pools the prefilter's per-query k-mer hit counters
+	// (*[]int32 of length len(seqs), zeroed whenever pooled).
+	counts sync.Pool
 }
 
 // Dir returns the index directory the corpus was opened from.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/alignsvc"
@@ -338,6 +339,85 @@ func TestChunkedMergeMatchesSearch(t *testing.T) {
 			t.Errorf("chunk size %d: merged %v, full %v", chunk, got, full.Hits)
 		}
 	}
+}
+
+// TestConcurrentSearchMatchesSequential runs 8 goroutines of mixed
+// queries against one Corpus — planted and random queries, queries
+// shorter than k and longer than the bitap word, the prefilter disabled
+// and stage two disabled — and requires every Prefilter and Search
+// answer to equal the sequential one. The prefilter's pooled counters
+// are shared per-corpus scratch; a buffer handed back dirty, or handed to
+// two queries at once, changes candidate sets.
+func TestConcurrentSearchMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	b, err := NewBuilder(t.TempDir(), IndexOptions{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := []dna.Seq{dna.RandSeq(rng, 48), dna.RandSeq(rng, 40)}
+	mut := dna.MutationModel{SubRate: 0.08, InsRate: 0.02, DelRate: 0.02}
+	for i := 0; i < 2000; i++ {
+		y := dna.RandSeq(rng, 100)
+		if i%50 == 0 {
+			cp := mut.Mutate(rng, planted[i/50%len(planted)])
+			copy(y[rng.IntN(100-min(len(cp), 100)+1):], cp)
+		}
+		if err := b.Add(fmt.Sprintf("c-%04d", i), y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := b.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stripedSearcher(t, c, nil)
+	ctx := context.Background()
+
+	type query struct {
+		q dna.Seq
+		p Params
+	}
+	var queries []query
+	for _, q := range append(planted, dna.RandSeq(rng, 48), dna.RandSeq(rng, 80)) {
+		queries = append(queries,
+			query{q, Params{TopK: 5}},
+			query{q, Params{TopK: 5, MinKmerHits: -1}},
+			query{q, Params{TopK: 5, MaxEdits: -1}})
+	}
+	queries = append(queries, query{dna.MustParse("ACG"), Params{TopK: 5}}) // shorter than k
+
+	wantIDs := make([][]int32, len(queries))
+	wantRes := make([]*Result, len(queries))
+	for i, qq := range queries {
+		wantIDs[i] = c.Prefilter(qq.q, qq.p).IDs
+		if wantRes[i], err = s.Search(ctx, qq.q, qq.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range queries {
+				i := (g + r) % len(queries) // each goroutine starts elsewhere
+				qq := queries[i]
+				if ids := c.Prefilter(qq.q, qq.p).IDs; !reflect.DeepEqual(ids, wantIDs[i]) {
+					t.Errorf("goroutine %d query %d: prefilter %d IDs, sequential %d", g, i, len(ids), len(wantIDs[i]))
+				}
+				res, err := s.Search(ctx, qq.q, qq.p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res, wantRes[i]) {
+					t.Errorf("goroutine %d query %d: search %v, sequential %v", g, i, res.Hits, wantRes[i].Hits)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRegistry(t *testing.T) {

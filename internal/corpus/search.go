@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -72,36 +73,52 @@ func (c *Corpus) Prefilter(q dna.Seq, p Params) Candidates {
 	}
 
 	// Stage one: count, per sequence, how many of the query's distinct
-	// k-mers it contains — one posting-list walk per query k-mer.
-	counts := make([]int32, len(c.seqs))
+	// k-mers it contains — one posting-list walk per query k-mer. The
+	// counts buffer is per-query scratch the size of the corpus, so it
+	// comes from a pool and is handed back zeroed by the survivor scan.
+	counts := c.getCounts()
 	distinct := 0
 	forEachDistinctKmer(c.k, q, func(code int) {
 		distinct++
 		for _, id := range c.postings[code] {
-			counts[id]++
+			(*counts)[id]++
 		}
 	})
 	need := int32(min(p.MinKmerHits, distinct))
 	var ids []int32
-	for id, n := range counts {
+	for id, n := range *counts {
 		if n >= need {
 			ids = append(ids, int32(id))
 		}
+		(*counts)[id] = 0
 	}
+	c.counts.Put(counts)
 	out := Candidates{IDs: ids, Prefiltered: true, KmerCandidates: len(ids)}
 
-	// Stage two: bit-parallel edit-distance refinement, queries ≤ 64.
-	if p.MaxEdits >= 0 && len(q) <= 64 && len(ids) > 0 {
-		kept := ids[:0]
-		for _, id := range ids {
-			d, err := bitap.MyersMinDistance(q, c.seqs[id])
-			if err != nil || d <= p.MaxEdits {
-				kept = append(kept, id)
+	// Stage two: bit-parallel edit-distance refinement. The query is
+	// compiled once and matched against every survivor; Compile refuses
+	// queries over the 64-base word width, which skip this stage.
+	if p.MaxEdits >= 0 && len(ids) > 0 {
+		if pat, err := bitap.Compile(q); err == nil {
+			kept := ids[:0]
+			for _, id := range ids {
+				if pat.MinDistance(c.seqs[id]) <= p.MaxEdits {
+					kept = append(kept, id)
+				}
 			}
+			out.IDs = kept
 		}
-		out.IDs = kept
 	}
 	return out
+}
+
+// getCounts takes a zeroed per-sequence counter buffer from the pool.
+func (c *Corpus) getCounts() *[]int32 {
+	if v, ok := c.counts.Get().(*[]int32); ok {
+		return v
+	}
+	counts := make([]int32, len(c.seqs))
+	return &counts
 }
 
 // forEachDistinctKmer calls fn once per distinct k-mer code of s.
@@ -302,10 +319,21 @@ type Result struct {
 // the survivors, ranked top-K with score statistics.
 func (s *Searcher) Search(ctx context.Context, q dna.Seq, p Params) (*Result, error) {
 	if len(q) == 0 {
-		return nil, fmt.Errorf("corpus: empty query")
+		return nil, errEmptyQuery
+	}
+	return s.SearchCandidates(ctx, q, p, s.c.Prefilter(q, p))
+}
+
+// SearchCandidates scores and ranks a candidate set the caller already
+// holds: cand must be the corpus's Prefilter(q, p). A caller that priced
+// the query by its candidates (the /search handler charges the tenant's
+// cell bucket with them) passes them here, so the funnel runs once per
+// query and the cells charged are, by construction, the cells scored.
+func (s *Searcher) SearchCandidates(ctx context.Context, q dna.Seq, p Params, cand Candidates) (*Result, error) {
+	if len(q) == 0 {
+		return nil, errEmptyQuery
 	}
 	p = p.Resolved(len(q))
-	cand := s.c.Prefilter(q, p)
 	var scored []int
 	hits, cells, err := s.score(ctx, q, cand.IDs, 0, s.c.Len(), p.TopK,
 		func(sc int) { scored = append(scored, sc) })
@@ -318,6 +346,8 @@ func (s *Searcher) Search(ctx context.Context, q dna.Seq, p Params) (*Result, er
 	res := &Result{Hits: hits, Stats: s.buildStats(q, cand, cells, scored)}
 	return res, nil
 }
+
+var errEmptyQuery = errors.New("corpus: empty query")
 
 // buildStats assembles (and, when a registry is wired, records) the
 // funnel statistics of one search.

@@ -158,8 +158,9 @@ func (s *Sub) markClosed() {
 // concurrent use and none of them ever blocks on a subscriber.
 type hub struct {
 	mu       sync.Mutex
-	subs     map[string][]*Sub // job ID → subscribers
-	seq      map[string]uint64 // job ID → last published seq
+	subs     map[string][]*Sub   // job ID → subscribers
+	seq      map[string]uint64   // job ID → last published seq
+	last     map[string]Snapshot // job ID → job state of the last published event
 	bufSize  int
 	shutdown bool
 }
@@ -171,16 +172,25 @@ func newHub(bufSize int) *hub {
 	return &hub{
 		subs:    make(map[string][]*Sub),
 		seq:     make(map[string]uint64),
+		last:    make(map[string]Snapshot),
 		bufSize: bufSize,
 	}
 }
 
 // subscribe registers a subscriber seeded with a snapshot event carrying
-// the job's current progress at the feed's current seq. A subscription to
-// an already-terminal job (its feed ended at the terminal publish) is born
+// the job's progress at the feed's current seq. A subscription to an
+// already-terminal job (its feed ended at the terminal publish) is born
 // closed: it delivers the snapshot and then ErrSubClosed, and is never
 // registered with the hub.
-func (h *hub) subscribe(jobID string, seed Snapshot) *Sub {
+//
+// The seed is the job state the feed's last event carried, so the events
+// after it neither skip nor repeat a checkpoint: a job's store write
+// lands before its publish, and a seed read from the store in between
+// would be one checkpoint ahead of the feed. Only a job with no live
+// feed (no event yet, or finished) is seeded from current, called under
+// the hub lock so no publish falls between the read and the
+// registration.
+func (h *hub) subscribe(jobID string, current func() Snapshot) *Sub {
 	s := &Sub{
 		hub:    h,
 		jobID:  jobID,
@@ -188,6 +198,10 @@ func (h *hub) subscribe(jobID string, seed Snapshot) *Sub {
 		notify: make(chan struct{}, 1),
 	}
 	h.mu.Lock()
+	seed, ok := h.last[jobID]
+	if !ok {
+		seed = current()
+	}
 	seedEv := Event{Seq: h.seq[jobID], Type: EventSnapshot, Job: seed}
 	// Seed before the Sub becomes visible to publish, while still holding
 	// the hub lock: the snapshot is guaranteed first in the ring, and no
@@ -238,6 +252,9 @@ func (h *hub) publish(jobID, typ string, job Snapshot) {
 	if terminal {
 		delete(h.subs, jobID)
 		delete(h.seq, jobID)
+		delete(h.last, jobID)
+	} else {
+		h.last[jobID] = job
 	}
 	h.mu.Unlock()
 	for _, s := range subs {

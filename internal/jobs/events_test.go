@@ -19,9 +19,38 @@ func snap(state jobstore.State, chunksDone int) Snapshot {
 	return Snapshot{ID: "j", State: state, ChunksDone: chunksDone, Chunks: 4}
 }
 
+// seed is a subscribe callback for a job the store holds at this state.
+func seed(state jobstore.State, chunksDone int) func() Snapshot {
+	return func() Snapshot { return snap(state, chunksDone) }
+}
+
+// TestHubSeedFollowsFeed pins the seed to the feed, not the store: the
+// store is written before each publish, so a subscriber arriving between
+// chunk 1's write and its publish must still be seeded at chunk 0 and
+// then see chunk 1 exactly once — neither skipped nor repeated.
+func TestHubSeedFollowsFeed(t *testing.T) {
+	h := newHub(8)
+	h.publish("j", EventState, snap(jobstore.StateRunning, 0))
+	sub := h.subscribe("j", seed(jobstore.StateRunning, 1)) // store already at chunk 1
+	defer sub.Close()
+	h.publish("j", EventChunk, snap(jobstore.StateRunning, 1))
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	for _, want := range []struct {
+		typ    string
+		chunks int
+	}{{EventSnapshot, 0}, {EventChunk, 1}} {
+		ev, err := sub.Next(ctx)
+		if err != nil || ev.Type != want.typ || ev.Job.ChunksDone != want.chunks {
+			t.Fatalf("event = %+v, %v; want %s at %d chunks", ev, err, want.typ, want.chunks)
+		}
+	}
+}
+
 func TestHubDropOldestNeverBlocksPublisher(t *testing.T) {
 	h := newHub(4)
-	sub := h.subscribe("j", snap(jobstore.StateQueued, 0))
+	sub := h.subscribe("j", seed(jobstore.StateQueued, 0))
 	defer sub.Close()
 
 	// A stalled subscriber (nobody calls Next): publishing far beyond the
@@ -63,7 +92,7 @@ func TestHubSubscribeAfterProgressReplaysCheckpoint(t *testing.T) {
 
 	// A late subscriber's first event is a snapshot carrying the progress
 	// so far, at the feed's current seq.
-	sub := h.subscribe("j", snap(jobstore.StateRunning, 2))
+	sub := h.subscribe("j", seed(jobstore.StateRunning, 2))
 	defer sub.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -84,8 +113,8 @@ func TestHubSubscribeAfterProgressReplaysCheckpoint(t *testing.T) {
 
 func TestHubCloseAndTerminalFreeSubscribers(t *testing.T) {
 	h := newHub(4)
-	a := h.subscribe("j", snap(jobstore.StateRunning, 0))
-	b := h.subscribe("j", snap(jobstore.StateRunning, 0))
+	a := h.subscribe("j", seed(jobstore.StateRunning, 0))
+	b := h.subscribe("j", seed(jobstore.StateRunning, 0))
 	if h.subscribers() != 2 {
 		t.Fatalf("subscribers = %d, want 2", h.subscribers())
 	}
@@ -116,7 +145,7 @@ func TestHubCloseAndTerminalFreeSubscribers(t *testing.T) {
 	// Hub shutdown: new subscriptions are born closed, seeded with
 	// snapshot + drain.
 	h.close()
-	c := h.subscribe("j2", snap(jobstore.StateQueued, 0))
+	c := h.subscribe("j2", seed(jobstore.StateQueued, 0))
 	if ev, err := c.Next(ctx); err != nil || ev.Type != EventSnapshot {
 		t.Fatalf("post-shutdown seed: %+v, %v", ev, err)
 	}
@@ -137,7 +166,7 @@ func TestHubSubscribeTerminalBornClosed(t *testing.T) {
 	h := newHub(4)
 	h.publish("j", EventState, snap(jobstore.StateDone, 4)) // ends the feed
 
-	sub := h.subscribe("j", snap(jobstore.StateDone, 4))
+	sub := h.subscribe("j", seed(jobstore.StateDone, 4))
 	defer sub.Close()
 	if h.subscribers() != 0 {
 		t.Fatalf("terminal subscribe registered: subscribers = %d, want 0", h.subscribers())
@@ -168,7 +197,7 @@ func TestHubSubscribeSeedAlwaysFirst(t *testing.T) {
 				h.publish("j", EventChunk, snap(jobstore.StateRunning, c))
 			}
 		}()
-		sub := h.subscribe("j", snap(jobstore.StateRunning, 0))
+		sub := h.subscribe("j", seed(jobstore.StateRunning, 0))
 		wg.Wait()
 
 		first, err := sub.Next(context.Background())
@@ -202,7 +231,9 @@ func TestHubSubscribeSeedAlwaysFirst(t *testing.T) {
 // TestEventsObserveEveryChunk runs a real job with a live subscriber and
 // asserts the feed carries every chunk checkpoint exactly once, ending
 // with the done state — and that disconnecting subscribers leaks no
-// goroutines.
+// goroutines. The subscription starts after Submit, so chunks the job
+// finished first are reported by the initial snapshot: the chunk events
+// must then be exactly the checkpoints after it, in order.
 func TestEventsObserveEveryChunk(t *testing.T) {
 	before := runtime.NumGoroutine()
 	svc := newTestService(t, cudasim.FaultConfig{})
@@ -228,6 +259,7 @@ func TestEventsObserveEveryChunk(t *testing.T) {
 	var chunks []int
 	var sawDone bool
 	var lastSeq uint64
+	c0 := -1 // ChunksDone in the initial snapshot
 	for {
 		ev, err := sub.Next(ctx)
 		if errors.Is(err, ErrSubClosed) {
@@ -240,6 +272,12 @@ func TestEventsObserveEveryChunk(t *testing.T) {
 			t.Fatalf("seq went backwards: %d after %d", ev.Seq, lastSeq)
 		}
 		lastSeq = ev.Seq
+		if c0 < 0 {
+			if ev.Type != EventSnapshot {
+				t.Fatalf("first event is %q, want %q", ev.Type, EventSnapshot)
+			}
+			c0 = ev.Job.ChunksDone
+		}
 		if ev.Type == EventChunk {
 			chunks = append(chunks, ev.Job.ChunksDone)
 		}
@@ -251,12 +289,13 @@ func TestEventsObserveEveryChunk(t *testing.T) {
 	if !sawDone {
 		t.Fatal("feed ended without a done state")
 	}
-	if len(chunks) != snap.Chunks {
-		t.Fatalf("observed %d chunk events (%v), want %d", len(chunks), chunks, snap.Chunks)
+	if len(chunks) != snap.Chunks-c0 {
+		t.Fatalf("observed %d chunk events (%v) after a snapshot at %d, want %d",
+			len(chunks), chunks, c0, snap.Chunks-c0)
 	}
 	for i, c := range chunks {
-		if c != i+1 {
-			t.Fatalf("chunk progress out of order: %v", chunks)
+		if c != c0+i+1 {
+			t.Fatalf("chunk progress out of order after a snapshot at %d: %v", c0, chunks)
 		}
 	}
 

@@ -455,7 +455,12 @@ func (m *Manager) EventsFor(id, tenantID string) (*Sub, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.hub.subscribe(id, m.snapshot(j)), nil
+	return m.hub.subscribe(id, func() Snapshot {
+		if cur, ok := m.store.Get(id); ok {
+			return m.snapshot(cur)
+		}
+		return m.snapshot(j)
+	}), nil
 }
 
 // Result returns the assembled scores of a done job. Unfinished jobs fail

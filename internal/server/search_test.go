@@ -22,6 +22,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/pipeline"
+	"repro/internal/stats"
 	"repro/internal/tenant"
 )
 
@@ -108,6 +109,36 @@ func TestSearchEndpoint(t *testing.T) {
 	if inv.Name != "ref" || inv.Seqs != 800 || inv.K != h.Corpus.K() ||
 		inv.Fingerprint != h.Corpus.Fingerprint() || inv.Backend != alignsvc.BackendStriped {
 		t.Fatalf("corpus inventory entry: %+v", inv)
+	}
+}
+
+// TestSearchMatchesSearcher pins the handler's single funnel pass: the
+// candidates it prices are the candidates it scores, so /search answers
+// with exactly the hits and funnel stats of an in-process Search, for a
+// planted query, a random one and one shorter than the index k (which
+// bypasses the prefilter).
+func TestSearchMatchesSearcher(t *testing.T) {
+	corpora, planted := newServerCorpus(t, 400)
+	_, ts := newTestServer(t, alignsvc.Config{Seed: 5, Workers: 2}, Config{Corpora: corpora})
+	h, _ := corpora.Get("ref")
+	for name, q := range map[string]dna.Seq{
+		"planted": planted,
+		"random":  dna.RandSeq(rand.New(rand.NewPCG(3, 3)), 48),
+		"short":   dna.MustParse("ACGT"),
+	} {
+		var got SearchResponse
+		resp := doJSON(t, http.MethodPost, ts.URL+"/search", SearchRequest{Query: q.String(), TopK: 5}, &got)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", name, resp.StatusCode)
+		}
+		want, err := h.Searcher.Search(context.Background(), q, corpus.Params{TopK: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Stats.Scores = stats.Summary{} // not on the wire
+		if !reflect.DeepEqual(got.Hits, want.Hits) || got.Stats != want.Stats {
+			t.Errorf("%s: HTTP %v %+v, in-process %v %+v", name, got.Hits, got.Stats, want.Hits, want.Stats)
+		}
 	}
 }
 
