@@ -40,7 +40,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/corpus"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/tables"
 	"repro/internal/workload"
@@ -52,15 +51,12 @@ func main() {
 	figure := flag.Int("figure", 0, "print only figure N (1-2); 0 = all selected by -table")
 	ablations := flag.Bool("ablations", false, "also run the DESIGN.md §5 ablations")
 	benchOut := flag.String("bench-out", "", "write a bench-pipeline JSON document to FILE and exit (skips the tables)")
-	devices := flag.Int("devices", 0, "with -bench-out: also sweep a fleet of N simulated devices and record per-device utilisation")
-	deviceSpecs := flag.String("device-specs", "titanx", "with -devices: comma-separated perf specs cycled over the fleet members")
 	peers := flag.Int("peers", 0, "with -bench-out: also sweep a cluster of N peer nodes and record routing, peer cache hit ratio and re-homes")
 	backends := flag.String("backends", "", "with -bench-out: comma-separated execution backends to sweep on the wall clock (e.g. striped,bitwise-sim,cpu-ref)")
 	search := flag.Bool("search", false, "with -bench-out: also sweep the corpus-search prefilter selectivity across k-mer lengths 4, 6 and 8")
 	searchSeqs := flag.Int("search-seqs", 4000, "with -search: synthetic corpus size in sequences")
 	searchBackend := flag.String("search-backend", "striped", "with -search: scoring backend for the search sweep")
 	checkBench := flag.String("check-bench", "", "validate a bench-pipeline JSON document and exit")
-	requireFleet := flag.Bool("require-fleet", false, "with -check-bench: fail unless the document carries a fleet section")
 	requireCluster := flag.Bool("require-cluster", false, "with -check-bench: fail unless the document carries a cluster section")
 	requireBackends := flag.String("require-backends", "", "with -check-bench: fail unless the document carries a section for each comma-separated backend")
 	requireSearch := flag.Bool("require-search", false, "with -check-bench: fail unless the document carries a search section whose default-k pass rate is under 0.2")
@@ -73,9 +69,6 @@ func main() {
 		f, err := bench.ReadFile(*checkBench)
 		if err == nil {
 			err = f.Validate()
-		}
-		if err == nil && *requireFleet && f.Fleet == nil {
-			err = fmt.Errorf("%s has no fleet section (regenerate with -devices N)", *checkBench)
 		}
 		if err == nil && *requireCluster && f.Cluster == nil {
 			err = fmt.Errorf("%s has no cluster section (regenerate with -peers N)", *checkBench)
@@ -109,20 +102,17 @@ func main() {
 		if err != nil {
 			cli.Exitf(1, "swabench: %v", err)
 		}
-		fleetNote := ""
-		if f.Fleet != nil {
-			fleetNote = fmt.Sprintf(", fleet of %d", len(f.Fleet.Devices))
-		}
+		note := ""
 		if f.Cluster != nil {
-			fleetNote += fmt.Sprintf(", cluster of %d", f.Cluster.Nodes)
+			note += fmt.Sprintf(", cluster of %d", f.Cluster.Nodes)
 		}
 		if len(f.Backends) > 0 {
-			fleetNote += fmt.Sprintf(", %d backend(s)", len(f.Backends))
+			note += fmt.Sprintf(", %d backend(s)", len(f.Backends))
 		}
 		if f.Search != nil {
-			fleetNote += fmt.Sprintf(", search sweep over %d k(s)", len(f.Search.Runs))
+			note += fmt.Sprintf(", search sweep over %d k(s)", len(f.Search.Runs))
 		}
-		fmt.Printf("swabench: %s ok (%s workload, %d runs%s)\n", *checkBench, f.Workload, len(f.Runs), fleetNote)
+		fmt.Printf("swabench: %s ok (%s workload, %d runs%s)\n", *checkBench, f.Workload, len(f.Runs), note)
 		return
 	}
 
@@ -145,23 +135,6 @@ func main() {
 		f, err := bench.Collect(ctx, spec, pipeline.Config{Metrics: reg})
 		if err != nil {
 			cli.Die(fmt.Errorf("swabench: bench: %w", err))
-		}
-		if *devices > 0 {
-			var specs []perfmodel.DeviceSpec
-			for _, name := range strings.Split(*deviceSpecs, ",") {
-				s, ok := perfmodel.SpecByName(strings.TrimSpace(name))
-				if !ok {
-					cli.Exitf(2, "swabench: -device-specs: unknown spec %q (have %s)",
-						name, strings.Join(perfmodel.SpecNames(), ", "))
-				}
-				specs = append(specs, s)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "... bench: fleet sweep across %d device(s) + cpu\n", *devices)
-			}
-			if err := f.CollectFleet(ctx, spec, pipeline.Config{Metrics: reg}, *devices, specs); err != nil {
-				cli.Die(fmt.Errorf("swabench: bench: %w", err))
-			}
 		}
 		if *peers > 0 {
 			if !*quiet {
@@ -203,14 +176,6 @@ func main() {
 		}
 		for _, r := range f.Runs {
 			fmt.Printf("bench m=%d n=%d pairs=%d lanes=%d gcups=%.2f\n", r.M, r.N, r.Pairs, r.Lanes, r.GCUPS)
-		}
-		if f.Fleet != nil {
-			for _, d := range f.Fleet.Devices {
-				fmt.Printf("fleet %s shards=%d pairs=%d util=%.2f steals=%d\n",
-					d.Name, d.Shards, d.Pairs, d.Utilization, d.Steals)
-			}
-			fmt.Printf("fleet aggregate wall_gcups=%.4f over %d shards\n",
-				f.Fleet.AggregateGCUPS, f.Fleet.Shards)
 		}
 		if c := f.Cluster; c != nil {
 			fmt.Printf("cluster nodes=%d forwarded=%d warm_hit_ratio=%.2f fallbacks=%d rehomes=%d (killed %s)\n",

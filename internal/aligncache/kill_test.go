@@ -3,15 +3,18 @@ package aligncache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/cudasim"
 )
 
-// When the leader's device is killed mid-flight, every follower must get the
-// typed device-loss error promptly — never hang — and the failed flight must
+// errLeaderDied stands in for whatever typed error killed the leader's
+// computation (a lost device, a failed backend).
+var errLeaderDied = errors.New("leader died")
+
+// When the leader's computation dies mid-flight, every follower must get the
+// leader's typed error promptly — never hang — and the failed flight must
 // not be cached: the next Lookup is a fresh miss with a new leader, and that
 // leader's success is what finally sticks.
 func TestSingleflightLeaderKilledTyped(t *testing.T) {
@@ -42,8 +45,8 @@ func TestSingleflightLeaderKilledTyped(t *testing.T) {
 		}()
 	}
 
-	// Give the followers a moment to coalesce, then the leader's device dies
-	// mid-computation and the leader publishes the failure.
+	// Give the followers a moment to coalesce, then the leader's computation
+	// dies and the leader publishes the failure.
 	deadline := time.Now().Add(5 * time.Second)
 	for c.Stats().Coalesced < followers {
 		if time.Now().After(deadline) {
@@ -51,8 +54,7 @@ func TestSingleflightLeaderKilledTyped(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	killErr := &cudasim.KilledError{Op: cudasim.FaultLaunch}
-	c.Fulfill(k, flight, 0, Cost(x, y), killErr)
+	c.Fulfill(k, flight, 0, Cost(x, y), fmt.Errorf("launch: %w", errLeaderDied))
 
 	wg.Wait()
 	close(errs)
@@ -63,7 +65,7 @@ func TestSingleflightLeaderKilledTyped(t *testing.T) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			t.Fatal("follower hung until its deadline instead of being released")
 		}
-		if !errors.Is(err, cudasim.ErrDeviceKilled) {
+		if !errors.Is(err, errLeaderDied) {
 			t.Fatalf("follower error not typed: %v", err)
 		}
 	}

@@ -78,7 +78,7 @@ type Backend interface {
 }
 
 // NewBackend constructs a standalone backend: no admission, no retry
-// ladder, no breaker, no fleet, no fault injection — just the engine. The
+// ladder, no breaker, no fault injection — just the engine. The
 // benchmark harness and the cross-backend exactness oracle use it to measure
 // and compare engines in isolation. cfg supplies the scoring scheme (and,
 // for the simulated backends, the device model); lanes selects the bitwise
@@ -88,9 +88,9 @@ func NewBackend(name string, cfg pipeline.Config, lanes int) (Backend, error) {
 		MaxAttempts: 1, ValidateFrac: -1, BreakerFailures: -1}.withDefaults()
 	switch name {
 	case BackendBitwiseSim:
-		return &simBackend{name: name, tier: TierBitwise, rt: newSimRuntime(c, nil)}, nil
+		return &simBackend{name: name, tier: TierBitwise, rt: newSimRuntime(c)}, nil
 	case BackendWordwiseSim:
-		return &simBackend{name: name, tier: TierWordwise, rt: newSimRuntime(c, nil)}, nil
+		return &simBackend{name: name, tier: TierWordwise, rt: newSimRuntime(c)}, nil
 	case BackendStriped:
 		return &stripedBackend{eng: striped.New(striped.Config{}), sc: c.scoring()}, nil
 	case BackendCPURef:

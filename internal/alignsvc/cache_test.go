@@ -2,6 +2,7 @@ package alignsvc
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -172,6 +173,69 @@ func TestCacheExactUnderFaultInjection(t *testing.T) {
 		t.Fatalf("chaos run exercised no cache traffic: %+v", cst)
 	}
 	t.Logf("cache after chaos: %+v; service: %+v", cst, s.Stats())
+}
+
+// TestCacheLeaderFailedNotCached races identical batches while every
+// simulated launch fails and the CPU rung is removed. The leader's flight
+// fails typed, every racer fails typed (nobody hangs), the failure is not
+// cached, and once the faults stop the recomputed scores are cached and
+// served as hits.
+func TestCacheLeaderFailedNotCached(t *testing.T) {
+	cache := aligncache.New(aligncache.Config{MaxBytes: 1 << 20, Metrics: obs.NewRegistry()})
+	s := newCachedService(t, Config{
+		Seed:            13,
+		Backend:         BackendBitwiseSim,
+		NoCPUFallback:   true,
+		MaxAttempts:     1,
+		BreakerFailures: -1,
+		Cache:           cache,
+	})
+	s.SetFaults(cudasim.FaultConfig{Seed: 13, Launch: 1})
+
+	pairs := plantedPairs(8, 12, 24, 31)
+	var wg sync.WaitGroup
+	errCh := make(chan error, 4)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_, err := s.Align(ctx, pairs)
+			errCh <- err
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		if err == nil {
+			t.Fatal("Align succeeded with every launch failing and no CPU rung")
+		}
+		if errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("racer hung until its deadline: %v", err)
+		}
+		if !errors.Is(err, cudasim.ErrInjected) {
+			t.Fatalf("racer error not typed: %v", err)
+		}
+	}
+	if st := cache.Stats(); st.Entries != 0 {
+		t.Fatalf("failed flights left %d cached entries", st.Entries)
+	}
+
+	s.SetFaults(cudasim.FaultConfig{})
+	res, err := s.Align(context.Background(), pairs)
+	if err != nil {
+		t.Fatalf("Align did not recover once the faults stopped: %v", err)
+	}
+	assertScores(t, res.Scores, refScores(pairs))
+	res, err = s.Align(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertScores(t, res.Scores, refScores(pairs))
+	if res.Report.CacheHits != len(pairs) {
+		t.Fatalf("recomputed scores not served from cache: %d hits of %d", res.Report.CacheHits, len(pairs))
+	}
 }
 
 // TestWarmCache seeds the cache with precomputed scores (the jobs recovery

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cudasim"
-	"repro/internal/fleet"
 	"repro/internal/striped"
 )
 
@@ -144,7 +143,6 @@ type statsJSON struct {
 	BreakerShortCircuits int64                 `json:"breaker_short_circuits"`
 	BreakerProbes        int64                 `json:"breaker_probes"`
 	Breakers             []breakerSnapshotJSON `json:"breakers,omitempty"`
-	Fleet                *fleet.Stats          `json:"fleet,omitempty"`
 	Striped              *striped.Stats        `json:"striped,omitempty"`
 }
 
@@ -164,7 +162,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		BreakerTrips:         s.BreakerTrips,
 		BreakerShortCircuits: s.BreakerShortCircuits,
 		BreakerProbes:        s.BreakerProbes,
-		Fleet:                s.Fleet,
 		Striped:              s.Striped,
 	}
 	for _, br := range s.Breakers {
@@ -193,7 +190,6 @@ func (s *Stats) UnmarshalJSON(b []byte) error {
 		BreakerTrips:         in.BreakerTrips,
 		BreakerShortCircuits: in.BreakerShortCircuits,
 		BreakerProbes:        in.BreakerProbes,
-		Fleet:                in.Fleet,
 		Striped:              in.Striped,
 	}
 	for _, br := range in.Breakers {

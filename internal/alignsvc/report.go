@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cudasim"
-	"repro/internal/fleet"
 	"repro/internal/striped"
 )
 
@@ -163,16 +162,8 @@ type Stats struct {
 	BreakerProbes        int64 // half-open probe batches admitted
 	Breakers             []BreakerSnapshot
 
-	// Fleet is the device-fleet snapshot when the service runs GPU tiers
-	// through a fleet scheduler (nil otherwise). It is taken under the
-	// fleet's lock in the same Stats call, so the per-device rows and their
-	// aggregates are mutually consistent even while devices are being
-	// killed, quarantined or readmitted.
-	Fleet *fleet.Stats
-
 	// Striped is the native striped engine's counter snapshot. The engine
-	// always exists (it also serves the fleet's CPU member and the striped
-	// backend), so the snapshot is always present; its counters stay zero
-	// while nothing routes to it.
+	// always exists (it serves the striped backend), so the snapshot is
+	// always present; its counters stay zero while nothing routes to it.
 	Striped *striped.Stats
 }

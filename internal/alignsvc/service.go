@@ -14,10 +14,10 @@
 // error, so callers always receive exact scores (or a context error)
 // together with a per-batch Report. The fault-tolerance machinery the
 // simulated GPU needs — per-attempt fault streams, retry with backoff,
-// sampled validation against the CPU reference, per-tier breakers and fleet
-// sharding — lives inside the simulated backends (sim.go); the exact
-// engines are called once. The default backend is chosen by
-// Config.Backend; Align uses it, AlignBackend overrides it per request.
+// sampled validation against the CPU reference and per-tier breakers —
+// lives inside the simulated backends (sim.go); the exact engines are
+// called once. The default backend is chosen by Config.Backend; Align uses
+// it, AlignBackend overrides it per request.
 // Service-level counters are exposed through Stats.
 package alignsvc
 
@@ -33,7 +33,6 @@ import (
 	"repro/internal/aligncache"
 	"repro/internal/cudasim"
 	"repro/internal/dna"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/striped"
@@ -98,18 +97,10 @@ type Config struct {
 	// histograms plus retry/fallback/breaker counters (nil = obs.Default()).
 	// It is also handed to the pipelines unless Pipeline.Metrics is set.
 	Metrics *obs.Registry
-	// Fleet, when non-nil, spreads each simulated-tier batch across a fleet
-	// of simulated devices (shards, work-stealing, hedging, per-device
-	// health; see internal/fleet). The degradation ladder is unchanged — a
-	// tier fails only when the whole fleet could not serve the batch — and
-	// the fleet's CPU member handles shard-level re-dispatch while TierCPU
-	// remains the batch-level last rung. Breaker openings on simulated
-	// tiers are forwarded to the fleet as health signals.
-	Fleet *fleet.Scheduler
 	// NoCPUFallback removes TierCPU from the ladder, so a batch that
 	// exhausts the other rungs fails typed instead of being served by the
-	// host reference. Integration tests use it to observe device-loss
-	// errors end to end; production configs leave it false.
+	// host reference. Tests use it to observe typed device errors end to
+	// end; production configs leave it false.
 	NoCPUFallback bool
 	// Cache, when non-nil, memoizes per-pair scores by content hash
 	// (pattern bytes, text bytes, scoring, lane width). Cache hits bypass
@@ -195,9 +186,9 @@ type Service struct {
 	batchSeq  atomic.Uint64
 
 	// backends holds one Backend per tier; the ladder routes every rung
-	// through this seam. stripedEng is the shared native engine behind
-	// backends[TierStriped] and the fleet's CPU member; sim is the state
-	// the two simulated backends share (faults, breakers, counters).
+	// through this seam. stripedEng is the native engine behind
+	// backends[TierStriped]; sim is the state the two simulated backends
+	// share (faults, breakers, counters).
 	backends   [numTiers]Backend
 	stripedEng *striped.Engine
 	sim        *simRuntime
@@ -223,7 +214,7 @@ func New(cfg Config) *Service {
 		quit:  make(chan struct{}),
 	}
 	s.stripedEng = striped.New(striped.Config{})
-	s.sim = newSimRuntime(cfg, s.stripedEng)
+	s.sim = newSimRuntime(cfg)
 	s.backends[TierBitwise] = &simBackend{name: BackendBitwiseSim, tier: TierBitwise, rt: s.sim}
 	s.backends[TierWordwise] = &simBackend{name: BackendWordwiseSim, tier: TierWordwise, rt: s.sim}
 	s.backends[TierStriped] = &stripedBackend{eng: s.stripedEng, sc: cfg.scoring()}
@@ -339,10 +330,6 @@ func (s *Service) Stats() Stats {
 		PanicsRecovered: s.panicsRecovered.Load(),
 	}
 	s.sim.addStats(&st)
-	if s.cfg.Fleet != nil {
-		fs := s.cfg.Fleet.Stats()
-		st.Fleet = &fs
-	}
 	ss := s.stripedEng.Stats()
 	st.Striped = &ss
 	return st

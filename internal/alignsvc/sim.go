@@ -4,7 +4,7 @@ package alignsvc
 // run the paper's pipelines on cudasim, and the fault-tolerance ladder those
 // devices need because they inject faults. Per-attempt fault streams,
 // same-tier retry with jittered backoff, sampled validation against the CPU
-// reference, one circuit breaker per tier and fleet sharding all live here.
+// reference and one circuit breaker per tier all live here.
 // The Service and the exact backends know none of it.
 
 import (
@@ -12,17 +12,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cudasim"
 	"repro/internal/dna"
-	"repro/internal/fleet"
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/striped"
 	"repro/internal/swa"
 )
 
@@ -69,18 +66,13 @@ type simRuntime struct {
 	obs      *obs.Registry
 	faults   atomic.Pointer[cudasim.FaultConfig]
 	breakers [numTiers]*health.Breaker // nil (always allows) when disabled
-	cpu      *striped.Engine           // the fleet's CPU member
 
-	// fleetSeq derives a unique injector seed per fleet shard execution, so
-	// a re-dispatched shard never replays the fault stream that killed it.
-	fleetSeq atomic.Uint64
-
-	retries, faultsInjected, panics atomic.Int64
+	retries, faultsInjected atomic.Int64
 }
 
-func newSimRuntime(cfg Config, cpu *striped.Engine) *simRuntime {
+func newSimRuntime(cfg Config) *simRuntime {
 	reg := cfg.registry()
-	rt := &simRuntime{cfg: cfg, obs: reg, cpu: cpu}
+	rt := &simRuntime{cfg: cfg, obs: reg}
 	rt.setFaults(cfg.Faults)
 	reg.Help("alignsvc_retries_total", "same-tier re-runs after a failed attempt")
 	reg.Help("alignsvc_breaker_transitions_total", "circuit-breaker state transitions by tier")
@@ -95,13 +87,6 @@ func newSimRuntime(cfg Config, cpu *striped.Engine) *simRuntime {
 		rt.breakers[t] = health.NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, nil, func(to BreakerState) {
 			reg.Counter(obs.L("alignsvc_breaker_transitions_total", "tier", tier, "to", to.String())).Inc()
 			state.Set(float64(to))
-			// A simulated tier's breaker opening is a fleet-health signal:
-			// mark the GPU members suspect so failing devices quarantine on
-			// a short streak. (Lock order is breaker → fleet; the fleet
-			// never calls back into a breaker.)
-			if to == BreakerOpen && cfg.Fleet != nil {
-				cfg.Fleet.NoteBreakerOpen(tier)
-			}
 		})
 	}
 	return rt
@@ -113,7 +98,6 @@ func (rt *simRuntime) setFaults(f cudasim.FaultConfig) { rt.faults.Store(&f) }
 func (rt *simRuntime) addStats(st *Stats) {
 	st.Retries = rt.retries.Load()
 	st.FaultsInjected = rt.faultsInjected.Load()
-	st.PanicsRecovered += rt.panics.Load()
 	for _, t := range simTiers {
 		b := rt.breakers[t].Stats()
 		st.Breakers = append(st.Breakers, BreakerSnapshot{Tier: t, State: b.State, Failures: b.Failures})
@@ -134,7 +118,7 @@ func (rt *simRuntime) pipelineConfig() pipeline.Config {
 }
 
 // simBackend serves one tier through its simulated pipeline, behind the
-// tier's breaker and retry ladder, on one device or sharded over a fleet.
+// tier's breaker and retry ladder.
 type simBackend struct {
 	name string
 	tier Tier
@@ -217,83 +201,25 @@ func (b *simBackend) attempts(ctx context.Context, pairs []dna.Pair, opts BatchO
 // attempt runs the pipeline once, with its own deterministic fault stream
 // so a retry does not replay the faults that just killed the batch.
 func (b *simBackend) attempt(ctx context.Context, pairs []dna.Pair, seq, attempt uint64) ([]int, cudasim.FaultCounts, error) {
-	if b.rt.cfg.Fleet != nil {
-		return b.rt.runFleet(ctx, b.tier, pairs)
-	}
 	cfg := b.rt.pipelineConfig()
 	fcfg := *b.rt.faults.Load()
 	fcfg.Seed ^= (seq*0x9e3779b97f4a7c15 + attempt) | 1
 	inj := cudasim.NewFaultInjector(fcfg)
 	cfg.Faults = inj
-	r, err := runPipeline(ctx, b.tier, pairs, cfg, b.rt.cfg.Lanes)
+	var r *pipeline.Result
+	var err error
+	switch {
+	case b.tier == TierWordwise:
+		r, err = pipeline.RunWordwise(ctx, pairs, cfg)
+	case b.rt.cfg.Lanes == 64:
+		r, err = pipeline.RunBitwise[uint64](ctx, pairs, cfg)
+	default:
+		r, err = pipeline.RunBitwise[uint32](ctx, pairs, cfg)
+	}
 	if err != nil {
 		return nil, inj.Counts(), err
 	}
 	return r.Scores, inj.Counts(), nil
-}
-
-// runPipeline invokes the simulated pipeline for a tier with a fully
-// prepared config.
-func runPipeline(ctx context.Context, tier Tier, pairs []dna.Pair, cfg pipeline.Config, lanes int) (*pipeline.Result, error) {
-	switch tier {
-	case TierBitwise:
-		if lanes == 64 {
-			return pipeline.RunBitwise[uint64](ctx, pairs, cfg)
-		}
-		return pipeline.RunBitwise[uint32](ctx, pairs, cfg)
-	case TierWordwise:
-		return pipeline.RunWordwise(ctx, pairs, cfg)
-	}
-	return nil, fmt.Errorf("alignsvc: no simulated pipeline for tier %v", tier)
-}
-
-// runFleet runs one attempt through the fleet scheduler: the batch is
-// sharded across the fleet's devices, each shard executing the tier's
-// pipeline on its device's spec and memory with a per-execution fault
-// stream (the device's flaky profile and kill switch layered on the
-// service's chaos config). The fleet's CPU member serves re-dispatched
-// shards with the native striped engine — still exact, but at wall-clock
-// GCUPS, so a device loss degrades throughput, not latency class.
-// Injected-fault counts are summed across every shard execution, including
-// the ones whose shard was later re-run elsewhere.
-func (rt *simRuntime) runFleet(ctx context.Context, tier Tier, pairs []dna.Pair) ([]int, cudasim.FaultCounts, error) {
-	var mu sync.Mutex
-	var total cudasim.FaultCounts
-	exec := func(ctx context.Context, d *fleet.Device, shard []dna.Pair) (scores []int, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				rt.panics.Add(1)
-				rt.obs.Counter(obs.L("alignsvc_panics_recovered_total", "tier", tier.String())).Inc()
-				err = fmt.Errorf("alignsvc: recovered %s-tier panic on %s: %v", tier, d.Name(), r)
-			}
-		}()
-		if d.CPU() {
-			if d.Killed() {
-				return nil, &cudasim.KilledError{Op: cudasim.FaultLaunch}
-			}
-			scores, _, err := rt.cpu.ScoreBatch(ctx, shard, rt.cfg.scoring())
-			return scores, err
-		}
-		cfg := rt.pipelineConfig()
-		cfg.Device = d.Spec()
-		if d.GlobalBytes() > 0 && cfg.GlobalBytes == 0 {
-			cfg.GlobalBytes = d.GlobalBytes()
-		}
-		inj := d.NewInjector(*rt.faults.Load(), rt.fleetSeq.Add(1)*0x9e3779b97f4a7c15|1)
-		cfg.Faults = inj
-		r, err := runPipeline(ctx, tier, shard, cfg, rt.cfg.Lanes)
-		mu.Lock()
-		total = total.Add(inj.Counts())
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return r.Scores, nil
-	}
-	scores, err := rt.cfg.Fleet.Run(ctx, pairs, exec)
-	mu.Lock()
-	defer mu.Unlock()
-	return scores, total, err
 }
 
 // validate re-scores a sample of the batch on the CPU reference and fails

@@ -40,8 +40,6 @@ import (
 	"time"
 
 	"repro/internal/alignsvc"
-	"repro/internal/dna"
-	"repro/internal/fleet"
 	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/swa"
@@ -94,35 +92,6 @@ type Run struct {
 	WallGCUPS float64 `json:"wall_gcups"`
 }
 
-// FleetDevice is one fleet member's share of the fleet sweep. Utilization
-// is BusyNS over the sweep's wall time — how much of the sweep this member
-// spent executing shards on the host clock.
-type FleetDevice struct {
-	Name        string  `json:"name"`
-	Spec        string  `json:"spec,omitempty"` // empty for the CPU member
-	CPU         bool    `json:"cpu,omitempty"`
-	Shards      int64   `json:"shards"`
-	Pairs       int64   `json:"pairs"`
-	BusyNS      int64   `json:"busy_ns"`
-	Utilization float64 `json:"utilization"`
-	Steals      int64   `json:"steals"`
-}
-
-// Fleet is the optional multi-device section: the same n-sweep pushed
-// through an internal/fleet scheduler of N simulated devices plus the CPU
-// last-resort member. All of its numbers live on the host (wall) clock —
-// the per-shard simulated stage times of concurrent devices do not add up
-// to a meaningful single-device sim total, so none is reported here.
-// AggregateGCUPS is the whole sweep's cell count over WallNS: the honest
-// multi-device throughput of the simulator process.
-type Fleet struct {
-	Devices        []FleetDevice `json:"devices"`
-	Shards         int64         `json:"shards"`
-	Steals         int64         `json:"steals"`
-	WallNS         int64         `json:"wall_ns"`
-	AggregateGCUPS float64       `json:"aggregate_gcups"`
-}
-
 // File is the full document.
 type File struct {
 	Schema    string `json:"schema"`
@@ -130,9 +99,6 @@ type File struct {
 	CreatedAt string `json:"created_at,omitempty"` // RFC 3339 UTC
 	Host      Host   `json:"host"`
 	Runs      []Run  `json:"runs"`
-	// Fleet is present when the sweep was additionally run across a device
-	// fleet (swabench -devices N).
-	Fleet *Fleet `json:"fleet,omitempty"`
 	// Cluster is present when the sweep was additionally run through a
 	// multi-node peer cluster (swabench -peers N).
 	Cluster *ClusterSection `json:"cluster,omitempty"`
@@ -239,103 +205,6 @@ func Collect(ctx context.Context, spec workload.Spec, cfg pipeline.Config) (*Fil
 		})
 	}
 	return f, nil
-}
-
-// CollectFleet re-runs the spec's n-sweep through a fleet of n simulated
-// devices (specs cycled from the given list, 12 GiB lazily-backed capacity
-// each) plus the CPU last-resort member, and attaches the per-device
-// utilisation and aggregate-GCUPS section to f. Scores are checked against
-// the single-device sweep's invariant implicitly: the fleet path runs the
-// same bitwise pipeline per shard, so a mismatch surfaces as a pipeline
-// error, not silent corruption.
-func (f *File) CollectFleet(ctx context.Context, spec workload.Spec, cfg pipeline.Config, n int, specs []perfmodel.DeviceSpec) error {
-	if n <= 0 {
-		return fmt.Errorf("bench: fleet size %d, want > 0", n)
-	}
-	if len(specs) == 0 {
-		specs = []perfmodel.DeviceSpec{perfmodel.TitanX}
-	}
-	members := make([]fleet.DeviceConfig, 0, n+1)
-	for i := 0; i < n; i++ {
-		members = append(members, fleet.DeviceConfig{
-			Name:        fmt.Sprintf("gpu%d", i),
-			Spec:        specs[i%len(specs)],
-			GlobalBytes: 12 << 30,
-		})
-	}
-	members = append(members, fleet.DeviceConfig{Name: "cpu", CPU: true})
-	sched, err := fleet.New(fleet.Config{Devices: members})
-	if err != nil {
-		return err
-	}
-	defer sched.Close()
-
-	exec := func(ctx context.Context, d *fleet.Device, shard []dna.Pair) ([]int, error) {
-		if d.CPU() {
-			scores := make([]int, len(shard))
-			sc := cfg.Scoring
-			if sc == (swa.Scoring{}) {
-				sc = swa.PaperScoring
-			}
-			for i, p := range shard {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				scores[i] = swa.Score(p.X, p.Y, sc)
-			}
-			return scores, nil
-		}
-		dcfg := cfg
-		dcfg.Device = d.Spec()
-		dcfg.GlobalBytes = d.GlobalBytes()
-		res, err := pipeline.RunBitwise[uint32](ctx, shard, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		return res.Scores, nil
-	}
-
-	var cells int64
-	begin := time.Now()
-	for _, nn := range spec.NList {
-		pairs := spec.Generate(nn)
-		if _, err := sched.Run(ctx, pairs, exec); err != nil {
-			return fmt.Errorf("bench: fleet n = %d: %w", nn, err)
-		}
-		cells += int64(len(pairs)) * int64(spec.M) * int64(nn)
-	}
-	wall := time.Since(begin)
-
-	st := sched.Stats()
-	out := &Fleet{
-		Shards: st.Shards,
-		Steals: st.Steals,
-		WallNS: wall.Nanoseconds(),
-	}
-	if wall > 0 {
-		out.AggregateGCUPS = float64(cells) / 1e9 / wall.Seconds()
-	}
-	for _, d := range st.Devices {
-		fd := FleetDevice{
-			Name:   d.Name,
-			CPU:    d.CPU,
-			Shards: d.Completed,
-			Pairs:  d.PairsDone,
-			BusyNS: d.BusyNS,
-			Steals: d.Steals,
-		}
-		if !d.CPU {
-			if dev := sched.Device(d.Name); dev != nil {
-				fd.Spec = dev.Spec().Name
-			}
-		}
-		if wall > 0 {
-			fd.Utilization = float64(d.BusyNS) / float64(wall.Nanoseconds())
-		}
-		out.Devices = append(out.Devices, fd)
-	}
-	f.Fleet = out
-	return nil
 }
 
 // CollectBackends serves the spec's n-sweep through each named execution
@@ -447,47 +316,6 @@ func (f *File) Validate() error {
 	}
 	if len(shapes) < 2 {
 		return fmt.Errorf("bench: all %d runs share one (m, n) shape", len(f.Runs))
-	}
-	if fl := f.Fleet; fl != nil {
-		if len(fl.Devices) < 2 {
-			return fmt.Errorf("bench: fleet section has %d member(s), want a fleet", len(fl.Devices))
-		}
-		if fl.WallNS <= 0 || !finitePositive(fl.AggregateGCUPS) {
-			return fmt.Errorf("bench: fleet section has wall %dns, aggregate %v GCUPS, want both > 0",
-				fl.WallNS, fl.AggregateGCUPS)
-		}
-		var shards, steals, gpuPairs int64
-		cpuMembers := 0
-		for i, d := range fl.Devices {
-			if d.Shards < 0 || d.Pairs < 0 || d.BusyNS < 0 || d.Steals < 0 {
-				return fmt.Errorf("bench: fleet device %d (%s) has negative counters: %+v", i, d.Name, d)
-			}
-			if d.Utilization < 0 || d.Utilization > 1.5 {
-				// One worker per device keeps busy ≲ wall; 1.5 allows clock
-				// skew without accepting nonsense.
-				return fmt.Errorf("bench: fleet device %s utilization %v out of range", d.Name, d.Utilization)
-			}
-			if d.CPU {
-				cpuMembers++
-			} else {
-				gpuPairs += d.Pairs
-			}
-			shards += d.Shards
-			steals += d.Steals
-		}
-		if cpuMembers == 0 {
-			return fmt.Errorf("bench: fleet section has no CPU last-resort member")
-		}
-		if gpuPairs == 0 {
-			return fmt.Errorf("bench: fleet GPUs scored zero pairs")
-		}
-		// Per-device Shards counts executions, which can exceed the
-		// dispatched-shard aggregate under hedging but never undercut it
-		// when every run succeeded.
-		if shards < fl.Shards || steals != fl.Steals {
-			return fmt.Errorf("bench: fleet aggregates (shards %d, steals %d) inconsistent with per-device sums (%d, %d)",
-				fl.Shards, fl.Steals, shards, steals)
-		}
 	}
 	if f.Cluster != nil {
 		if err := f.Cluster.validate(); err != nil {

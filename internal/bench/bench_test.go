@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -100,76 +99,6 @@ func TestCollectHonoursCancel(t *testing.T) {
 	cancel()
 	if _, err := Collect(ctx, workload.Unit, pipeline.Config{}); err == nil {
 		t.Error("Collect ignored a canceled context")
-	}
-}
-
-func TestCollectFleetSectionValidates(t *testing.T) {
-	f := collectUnit(t)
-	if err := f.CollectFleet(context.Background(), workload.Unit, pipeline.Config{}, 2,
-		[]perfmodel.DeviceSpec{perfmodel.TitanX, perfmodel.TitanXHalf}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	fl := f.Fleet
-	if fl == nil || len(fl.Devices) != 3 {
-		t.Fatalf("fleet section = %+v, want 2 GPUs + cpu", fl)
-	}
-	var gpuPairs int64
-	for _, d := range fl.Devices {
-		if !d.CPU {
-			gpuPairs += d.Pairs
-		}
-	}
-	want := int64(len(workload.Unit.NList) * workload.Unit.Pairs)
-	if gpuPairs != want {
-		t.Fatalf("fleet GPUs scored %d pairs, want %d", gpuPairs, want)
-	}
-	if fl.AggregateGCUPS <= 0 || fl.WallNS <= 0 {
-		t.Fatalf("degenerate fleet aggregates: %+v", fl)
-	}
-
-	// The section must survive the JSON round trip.
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := f.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if back.Fleet == nil || len(back.Fleet.Devices) != 3 || back.Fleet.Shards != fl.Shards {
-		t.Fatalf("fleet section did not round-trip: %+v", back.Fleet)
-	}
-}
-
-func TestValidateRejectsBadFleet(t *testing.T) {
-	f := collectUnit(t)
-	f.Fleet = &Fleet{
-		Devices: []FleetDevice{
-			{Name: "gpu0", Shards: 2, Pairs: 64, BusyNS: 100},
-			{Name: "cpu", CPU: true},
-		},
-		Shards: 2,
-		WallNS: 200,
-		// AggregateGCUPS zero: must be rejected.
-	}
-	if err := f.Validate(); err == nil {
-		t.Fatal("Validate accepted a fleet section with zero aggregate GCUPS")
-	}
-	f.Fleet.AggregateGCUPS = 1
-	f.Fleet.Devices[0].Utilization = 7 // nonsense
-	if err := f.Validate(); err == nil {
-		t.Fatal("Validate accepted utilization 7")
-	}
-	f.Fleet.Devices[0].Utilization = 0.5
-	f.Fleet.Devices[1].CPU = false
-	if err := f.Validate(); err == nil {
-		t.Fatal("Validate accepted a fleet with no CPU member")
 	}
 }
 

@@ -17,7 +17,7 @@
 // mode degrades to local execution.
 //
 // Peer health is probed (healthy → suspect → quarantined → probing, the
-// internal/health machine fleet devices also use) and feeds ring
+// internal/health machine) and feeds ring
 // membership: keys re-home when a node dies and re-home back when it is
 // readmitted. A draining node removes itself from its own ring and hands
 // the hot part of its key space to the new owners (POST /cluster/warm), so
@@ -214,9 +214,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is one peer's health state: the machine fleet devices use
-// (internal/health) applied to remote nodes. Unlike a device, a quarantined
-// peer is readmitted by any successful forward or readiness probe.
+// State is one peer's health state (the internal/health machine). A
+// quarantined peer is readmitted by any successful forward or readiness
+// probe.
 type State = health.State
 
 // The peer health states. Healthy and suspect peers are ring members;
@@ -450,7 +450,7 @@ func (c *Cluster) noteSuccess(p *peer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p.lastErr = ""
-	if p.health.Success(true) {
+	if p.health.Success() {
 		if p.mRead != nil {
 			p.mRead.Inc()
 		}

@@ -35,7 +35,7 @@ import (
 // DefaultHostCap bounds how much host memory one simulated device may pin
 // for its global-memory backing. Realistic specs declare many GiB of device
 // memory, but a simulated workload only ever touches a fraction of it; the
-// cap keeps a fleet of 12 GiB devices from exhausting the host while still
+// cap keeps a 12 GiB device from pinning that much host memory while still
 // failing loudly (with a *HostOOMError) if a workload genuinely needs more.
 const DefaultHostCap = int64(1) << 30
 
@@ -292,12 +292,6 @@ func (d *Device) LaunchCtx(ctx context.Context, blocks, threadsPerBlock int, k K
 			}()
 			local := &locals[w]
 			for ctx.Err() == nil && !abort.Load() {
-				if d.faults.killedNow() {
-					// Device died mid-launch: stop claiming blocks so the
-					// kill is observed within one block's runtime.
-					abort.Store(true)
-					break
-				}
 				bi := int(next.Add(1)) - 1
 				if bi >= blocks {
 					break
@@ -321,12 +315,6 @@ func (d *Device) LaunchCtx(ctx context.Context, blocks, threadsPerBlock int, k K
 	}
 	if firstPanic != nil {
 		return total, fmt.Errorf("cudasim: kernel panicked in block %d: %v", firstPanic.block, firstPanic.val)
-	}
-	if d.faults.killedNow() {
-		// The device was killed while the grid ran. Partial stats are still
-		// returned (accurate for the blocks that completed), but the launch
-		// as a whole failed with the typed device-loss error.
-		return total, &KilledError{Op: FaultLaunch}
 	}
 	if err := ctx.Err(); err != nil {
 		return total, err

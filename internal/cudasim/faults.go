@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 )
 
 // FaultOp names a device operation class that the injector can fail.
@@ -23,44 +22,6 @@ const (
 // can distinguish deliberate faults from genuine simulator errors with
 // errors.Is(err, cudasim.ErrInjected).
 var ErrInjected = errors.New("cudasim: injected fault")
-
-// ErrDeviceKilled is the sentinel wrapped by every operation attempted on a
-// device whose KillSwitch is flipped — the simulated equivalent of a card
-// falling off the bus. Match with errors.Is(err, cudasim.ErrDeviceKilled).
-var ErrDeviceKilled = errors.New("cudasim: device killed")
-
-// KillSwitch is a shared device-death flag: while Kill is in effect, every
-// device operation routed through an injector holding the switch fails with
-// a *KilledError, and an in-flight LaunchCtx aborts at the next block
-// boundary. The switch is independent of the probabilistic fault rates —
-// flipping it models whole-device loss (XID error, bus drop, host reboot of
-// a peer), not a flaky transfer. Safe for concurrent use; a nil *KillSwitch
-// is valid and never killed.
-type KillSwitch struct {
-	killed atomic.Bool
-}
-
-// Kill flips the switch: all subsequent operations fail until Revive.
-func (k *KillSwitch) Kill() { k.killed.Store(true) }
-
-// Revive clears the switch, letting operations proceed again.
-func (k *KillSwitch) Revive() { k.killed.Store(false) }
-
-// Killed reports whether the switch is currently flipped.
-func (k *KillSwitch) Killed() bool { return k != nil && k.killed.Load() }
-
-// KilledError is the typed error every device operation returns while the
-// device's KillSwitch is flipped.
-type KilledError struct {
-	Op FaultOp // which operation class observed the dead device
-}
-
-func (e *KilledError) Error() string {
-	return fmt.Sprintf("cudasim: %s on killed device", e.Op)
-}
-
-// Unwrap makes errors.Is(err, ErrDeviceKilled) hold.
-func (e *KilledError) Unwrap() error { return ErrDeviceKilled }
 
 // FaultError is a deterministic injected device fault.
 type FaultError struct {
@@ -117,38 +78,15 @@ type FaultInjector struct {
 	cfg    FaultConfig
 	seq    uint64
 	counts FaultCounts
-
-	// kill, when non-nil, is checked before every decision: a flipped
-	// switch fails the operation with a *KilledError regardless of the
-	// probabilistic rates. Shared between injectors so one switch kills
-	// every attempt stream derived for the same logical device.
-	kill *KillSwitch
 }
 
 // NewFaultInjector builds an injector for the config, or nil when the
 // config injects nothing (a nil injector is valid and inert everywhere).
 func NewFaultInjector(cfg FaultConfig) *FaultInjector {
-	return NewFaultInjectorKilled(cfg, nil)
-}
-
-// NewFaultInjectorKilled builds an injector layering the probabilistic
-// fault config on a shared kill switch. It returns nil (inert) only when
-// the config injects nothing and there is no switch to observe.
-func NewFaultInjectorKilled(cfg FaultConfig, kill *KillSwitch) *FaultInjector {
-	if !cfg.enabled() && kill == nil {
+	if !cfg.enabled() {
 		return nil
 	}
-	f := &FaultInjector{cfg: cfg, kill: kill}
-	if cfg.enabled() {
-		f.rng = rand.New(rand.NewPCG(cfg.Seed, 0x6661756c74))
-	}
-	return f
-}
-
-// killedNow reports whether the injector's kill switch is flipped; the
-// launch scheduler polls it between blocks so a kill aborts mid-launch.
-func (f *FaultInjector) killedNow() bool {
-	return f != nil && f.kill.Killed()
+	return &FaultInjector{cfg: cfg, rng: rand.New(rand.NewPCG(cfg.Seed, 0x6661756c74))}
 }
 
 // Counts snapshots the faults injected so far.
@@ -165,12 +103,6 @@ func (f *FaultInjector) Counts() FaultCounts {
 // fault error to surface (nil = proceed).
 func (f *FaultInjector) trip(op FaultOp) error {
 	if f == nil {
-		return nil
-	}
-	if f.kill.Killed() {
-		return &KilledError{Op: op}
-	}
-	if f.rng == nil {
 		return nil
 	}
 	f.mu.Lock()
@@ -200,7 +132,7 @@ func (f *FaultInjector) trip(op FaultOp) error {
 // flipBit decides whether a completed transfer of n bytes silently corrupts
 // one bit, returning the bit index to flip in [0, 8n) or -1 for none.
 func (f *FaultInjector) flipBit(n int) int64 {
-	if f == nil || f.rng == nil || n <= 0 {
+	if f == nil || n <= 0 {
 		return -1
 	}
 	f.mu.Lock()

@@ -2,13 +2,11 @@
 // layers: one circuit Breaker (closed → open → half-open with a single probe
 // slot) and one consecutive-failure Member machine (healthy → suspect →
 // quarantined → probing). alignsvc puts a breaker on each simulated GPU tier,
-// cluster puts one on each peer, and fleet devices and cluster peers both
-// track their health with a Member.
+// cluster puts one on each peer and tracks each peer's health with a Member.
 //
 // Neither type performs side effects beyond its own state. Callers observe
 // transitions through the returned values or the OnTransition/OnChange
-// hooks and do their own work there: ring rebuilds, queue drains, metrics,
-// fleet health signals.
+// hooks and do their own work there: ring rebuilds, metrics.
 package health
 
 import (

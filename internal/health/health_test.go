@@ -156,7 +156,7 @@ func TestNilBreakerAlwaysAllows(t *testing.T) {
 }
 
 // TestMember walks the consecutive-failure machine with SuspectAfter 1 and
-// QuarantineAfter 3, including both readmission rules.
+// QuarantineAfter 3, including readmission from probing and from quarantine.
 func TestMember(t *testing.T) {
 	p := Policy{SuspectAfter: 1, QuarantineAfter: 3}
 	t0 := time.Unix(0, 0)
@@ -166,7 +166,7 @@ func TestMember(t *testing.T) {
 	if m.Failure(p, t0) || m.State != Suspect {
 		t.Fatalf("first failure: %+v", m)
 	}
-	if m.Success(false) || m.State != Healthy || m.Consec != 0 {
+	if m.Success() || m.State != Healthy || m.Consec != 0 {
 		t.Fatalf("success while suspect: %+v", m)
 	}
 	m.Failure(p, t0)
@@ -174,8 +174,8 @@ func TestMember(t *testing.T) {
 	if !m.Failure(p, t0) || m.State != Quarantined || m.Quarantines != 1 || m.InRotation() {
 		t.Fatalf("third failure did not quarantine: %+v", m)
 	}
-	// Further failures and a device-style success keep it out.
-	if m.Failure(p, t0) || m.Success(false) || m.State != Quarantined {
+	// Further failures keep it out.
+	if m.Failure(p, t0) || m.State != Quarantined {
 		t.Fatalf("quarantined member moved: %+v", m)
 	}
 	if m.StartProbe(time.Second, t0.Add(time.Millisecond)) {
@@ -190,22 +190,18 @@ func TestMember(t *testing.T) {
 		t.Fatalf("failed probe: %+v", m)
 	}
 	m.StartProbe(time.Second, t1.Add(time.Second))
-	if !m.Success(true) || m.State != Healthy || m.Readmissions != 1 {
+	if !m.Success() || m.State != Healthy || m.Readmissions != 1 {
 		t.Fatalf("passed probe did not readmit: %+v", m)
 	}
 	// A peer-style success readmits straight from quarantine.
 	for range 3 {
 		m.Failure(p, t1)
 	}
-	if !m.Success(true) || m.State != Healthy || m.Readmissions != 2 {
+	if !m.Success() || m.State != Healthy || m.Readmissions != 2 {
 		t.Fatalf("success did not readmit: %+v", m)
 	}
-	m.MarkSuspect()
-	if m.State != Suspect {
-		t.Fatalf("MarkSuspect: %v", m.State)
-	}
 	want := []State{Suspect, Healthy, Suspect, Quarantined, Probing, Quarantined, Probing,
-		Healthy, Suspect, Quarantined, Healthy, Suspect}
+		Healthy, Suspect, Quarantined, Healthy}
 	if !slices.Equal(gauge, want) {
 		t.Fatalf("OnChange saw %v, want %v", gauge, want)
 	}

@@ -15,8 +15,8 @@ import (
 //	   └──────── probe passes (readmission) ◀────────────┘
 //	                                          probe fails → Quarantined
 //
-// The numeric values are exported as gauges (fleet_device_state,
-// cluster_peer_state), so they must not change.
+// The numeric values are exported as the cluster_peer_state gauge, so they
+// must not change.
 type State int
 
 const (
@@ -64,8 +64,8 @@ type Policy struct {
 
 // Member is one fault domain's health record. It is not safe for concurrent
 // use: the owner guards it with the lock that also covers the owner's
-// reaction to a transition (the fleet scheduler's queue lock, the cluster's
-// membership lock), so a transition and its side effect are atomic.
+// reaction to a transition (the cluster's membership lock), so a transition
+// and its side effect are atomic.
 type Member struct {
 	State         State
 	Consec        int       // consecutive failures
@@ -114,19 +114,17 @@ func (m *Member) Failure(p Policy, now time.Time) (quarantined bool) {
 }
 
 // Success records one success and reports whether it readmitted the member.
-// A suspect member is healthy again. Whether a quarantined or probing member
-// comes back on a success is the owner's call: readmit says so.
-func (m *Member) Success(readmit bool) (readmitted bool) {
+// A suspect member is healthy again; a quarantined or probing one is
+// readmitted.
+func (m *Member) Success() (readmitted bool) {
 	m.Consec = 0
 	switch m.State {
 	case Suspect:
 		m.set(Healthy)
 	case Quarantined, Probing:
-		if readmit {
-			m.set(Healthy)
-			m.Readmissions++
-			return true
-		}
+		m.set(Healthy)
+		m.Readmissions++
+		return true
 	}
 	return false
 }
@@ -139,12 +137,4 @@ func (m *Member) StartProbe(cooldown time.Duration, now time.Time) bool {
 	}
 	m.set(Probing)
 	return true
-}
-
-// MarkSuspect turns a healthy member suspect without a failure of its own,
-// for outside signals such as a circuit breaker opening on its tier.
-func (m *Member) MarkSuspect() {
-	if m.State == Healthy {
-		m.set(Suspect)
-	}
 }

@@ -70,46 +70,6 @@ var TitanX = DeviceSpec{
 	ThreadsForPeak:       1024,
 }
 
-// TitanXHalf is a derived spec with half the SMs and DRAM bandwidth of
-// TitanX — a stand-in for a smaller card in a heterogeneous fleet.
-var TitanXHalf = func() DeviceSpec {
-	d := TitanX
-	d.Name = "TITAN X (half: 14 SMs)"
-	d.SMs = 14
-	d.GlobalBandwidth = 150e9
-	return d
-}()
-
-// TitanXQuarter is a derived spec with a quarter of the SMs and DRAM
-// bandwidth of TitanX — the weakest fleet member used in tests.
-var TitanXQuarter = func() DeviceSpec {
-	d := TitanX
-	d.Name = "TITAN X (quarter: 7 SMs)"
-	d.SMs = 7
-	d.GlobalBandwidth = 75e9
-	return d
-}()
-
-// SpecByName resolves a short spec name ("titanx", "titanx-half",
-// "titanx-quarter") to its DeviceSpec, for CLI flags that assemble
-// heterogeneous fleets.
-func SpecByName(name string) (DeviceSpec, bool) {
-	switch name {
-	case "titanx":
-		return TitanX, true
-	case "titanx-half":
-		return TitanXHalf, true
-	case "titanx-quarter":
-		return TitanXQuarter, true
-	}
-	return DeviceSpec{}, false
-}
-
-// SpecNames lists the names SpecByName accepts, for flag usage strings.
-func SpecNames() []string {
-	return []string{"titanx", "titanx-half", "titanx-quarter"}
-}
-
 // PCIeLink models the host-device interconnect.
 type PCIeLink struct {
 	Latency   time.Duration

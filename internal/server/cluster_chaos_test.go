@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -539,4 +540,38 @@ func TestClusterSingleNodeIdentity(t *testing.T) {
 	if got := st.RingMembers; !reflect.DeepEqual(got, []string{"solo"}) {
 		t.Fatalf("ring members %v, want [solo]", got)
 	}
+}
+
+// checkMetric polls until one rendered line is present in /metricsz (the
+// health machine may be mid-transition — e.g. a failed probe bouncing
+// quarantined → probing → quarantined — when the caller observed the state).
+func checkMetric(base, line string) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/metricsz")
+		if err != nil {
+			return err
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if strings.Contains(string(raw), line) {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("/metricsz missing %q", line)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func getServerJSON(url string, v any) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v)
 }
