@@ -106,7 +106,7 @@ func TestJobsChaosSoak(t *testing.T) {
 		ids := make(map[string]string)
 		for i := 0; i < jobsPerRound; i++ {
 			pairs, _ := chaosJobBatch(nextJob)
-			snap, _, err := m.Submit(pairs, keyOf(nextJob))
+			snap, _, err := m.SubmitFor(pairs, keyOf(nextJob), "")
 			if err != nil {
 				t.Fatalf("round %d submit %d: %v", round, nextJob, err)
 			}
@@ -117,7 +117,7 @@ func TestJobsChaosSoak(t *testing.T) {
 		for i := 0; i < 3 && round > 0; i++ {
 			n := rng.IntN(nextJob - jobsPerRound)
 			pairs, _ := chaosJobBatch(n)
-			if _, created, err := m.Submit(pairs, keyOf(n)); err != nil {
+			if _, created, err := m.SubmitFor(pairs, keyOf(n), ""); err != nil {
 				t.Fatalf("round %d resubmit %d: %v", round, n, err)
 			} else if created {
 				t.Fatalf("round %d: resubmitted key %s created a second job", round, keyOf(n))
@@ -127,7 +127,7 @@ func TestJobsChaosSoak(t *testing.T) {
 		// Random cancellations while the pool is churning.
 		for _, id := range ids {
 			if rng.Float64() < 0.2 {
-				if _, err := m.Cancel(id); err != nil {
+				if _, err := m.CancelFor(id, ""); err != nil {
 					t.Fatalf("round %d cancel %s: %v", round, id, err)
 				}
 			}

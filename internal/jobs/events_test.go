@@ -244,7 +244,7 @@ func TestEventsObserveEveryChunk(t *testing.T) {
 	defer m.Close()
 
 	pairs, _ := testBatch(11, 16) // ChunkSize 4 → 4 chunks
-	snap, _, err := m.Submit(pairs, "")
+	snap, _, err := m.SubmitFor(pairs, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestEventsObserveEveryChunk(t *testing.T) {
 	// Goroutine-leak check: churn subscribers that disconnect mid-feed.
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
-		snap2, _, err := m.Submit(testPairsOnly(uint64(i)+100, 8), "")
+		snap2, _, err := m.SubmitFor(testPairsOnly(uint64(i)+100, 8), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,19 @@
-// Package jobs turns the synchronous alignment service into durable async
-// batch jobs. A Manager splits each submitted batch into fixed-size chunks,
-// runs every chunk through alignsvc.Align (inheriting its retry, circuit
-// breaker and degradation machinery), and checkpoints each completed
-// chunk's scores to a jobstore WAL — so a crash, SIGKILL or drain loses at
-// most the chunk in flight. On startup the manager replays the WAL and
-// requeues every incomplete job, resuming from the last checkpoint:
-// already-checkpointed chunks are skipped, never re-executed (the store
-// rejects duplicate checkpoints outright).
+// Package jobs turns the synchronous alignment service and corpus search
+// into durable async batch jobs. A Manager splits each job into fixed-size
+// chunks — pairs of an alignment batch, or sequence IDs of a corpus — runs
+// every chunk (alignment chunks through alignsvc.Align, inheriting its
+// retry, circuit breaker and degradation machinery; search chunks through
+// the corpus searcher), and checkpoints each completed chunk to a jobstore
+// WAL — so a crash, SIGKILL or drain loses at most the chunk in flight.
+// Both kinds share one submit path and one chunk loop; only the per-chunk
+// step differs. On startup the manager replays the WAL and requeues every
+// incomplete job, resuming from the last checkpoint: already-checkpointed
+// chunks are skipped, never re-executed (the store rejects duplicate
+// checkpoints outright).
 //
 // Execution is a bounded pool: MaxConcurrent runner goroutines pull job IDs
-// from a FIFO queue whose depth Submit enforces (ErrQueueFull beyond it).
+// from a FIFO queue whose depth submission enforces (ErrQueueFull beyond
+// it).
 // Terminal jobs are garbage-collected after a TTL. BeginDrain stops runners
 // at the next chunk boundary and requeues their jobs (running → queued in
 // the WAL) instead of waiting for completion — the durable analogue of the
@@ -69,7 +73,7 @@ type Config struct {
 	SearchChunkSize int
 	// MaxConcurrent bounds how many jobs execute at once (default 2).
 	// MaxQueued bounds how many more may wait in FIFO order (default 64);
-	// beyond that Submit fails fast with ErrQueueFull.
+	// beyond that a submission fails fast with ErrQueueFull.
 	MaxConcurrent, MaxQueued int
 	// ChunkTimeout is the per-chunk deadline flowing into the service's
 	// ladder (default 60s). A chunk that exceeds it fails the job.
@@ -128,7 +132,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// fifo is the unbounded job queue: Submit enforces the depth bound, while
+// fifo is the unbounded job queue: submission enforces the depth bound, while
 // recovery may exceed it (durable jobs are never dropped for queue space).
 type fifo struct {
 	mu     sync.Mutex
@@ -181,7 +185,8 @@ func (q *fifo) len() int {
 
 // Manager runs the durable job state machine. Create with New (which
 // recovers and requeues incomplete jobs from the store), submit with
-// Submit, and shut down with BeginDrain + Drain + Close.
+// SubmitFor or SubmitSearchFor, and shut down with BeginDrain + Drain +
+// Close.
 type Manager struct {
 	cfg   Config
 	store *jobstore.Store
@@ -232,7 +237,7 @@ func New(cfg Config) (*Manager, error) {
 		obs:        cfg.Metrics,
 	}
 	m.obs.Help("jobs_state", "Jobs currently in each state.")
-	m.obs.Help("jobs_submitted_total", "Jobs accepted by Submit (excluding idempotency dedup hits).")
+	m.obs.Help("jobs_submitted_total", "Jobs accepted (excluding idempotency dedup hits).")
 	m.obs.Help("jobs_terminal_total", "Jobs reaching a terminal state, by state.")
 	m.obs.Help("jobs_chunks_executed_total", "Chunks actually computed by the alignment service.")
 	m.obs.Help("jobs_chunks_checkpointed_total", "Chunk score checkpoints appended to the WAL.")
@@ -347,23 +352,33 @@ func storeKey(tenantID, key string) string {
 	return tenantID + "\x00" + key
 }
 
-// Submit persists a new job owned by the anonymous tenant — see SubmitFor.
-func (m *Manager) Submit(pairs []dna.Pair, key string) (snap Snapshot, created bool, err error) {
-	return m.SubmitFor(pairs, key, "")
+// SubmitFor persists a new alignment job owned by a tenant and queues it,
+// returning its snapshot. A non-empty idempotency key that matches one of
+// the tenant's live jobs returns that job instead (created=false) —
+// re-sent submissions are deduplicated, not re-executed. Submissions
+// beyond the tenant's MaxRunningJobs cap fail with ErrQuota.
+func (m *Manager) SubmitFor(pairs []dna.Pair, key, tenantID string) (snap Snapshot, created bool, err error) {
+	if len(pairs) == 0 {
+		return Snapshot{}, false, errors.New("jobs: empty batch")
+	}
+	return m.submit(key, tenantID, func(id, sk, tid string) (*jobstore.Job, error) {
+		data := make([]jobstore.PairData, len(pairs))
+		for i, p := range pairs {
+			data[i] = jobstore.PairData{X: p.X.String(), Y: p.Y.String()}
+		}
+		return m.store.SubmitOwned(id, sk, tid, m.cfg.ChunkSize, data)
+	})
 }
 
-// SubmitFor persists a new job owned by a tenant and queues it, returning
-// its snapshot. A non-empty idempotency key that matches one of the
-// tenant's live jobs returns that job instead (created=false) — re-sent
-// submissions are deduplicated, not re-executed. Submissions beyond the
-// tenant's MaxRunningJobs cap fail with ErrQuota.
-func (m *Manager) SubmitFor(pairs []dna.Pair, key, tenantID string) (snap Snapshot, created bool, err error) {
+// submit is the submission path both kinds share: refuse while draining
+// or for a NUL key, answer an idempotency-key match with the existing job,
+// enforce the tenant's running-job quota and the queue bound, then persist
+// the job through write (given the new ID, the tenant-namespaced key and
+// the stored tenant), publish it and queue it.
+func (m *Manager) submit(key, tenantID string, write func(id, storeKey, tenant string) (*jobstore.Job, error)) (Snapshot, bool, error) {
 	tid := normalizeTenant(tenantID)
 	if m.Draining() {
 		return Snapshot{}, false, ErrDraining
-	}
-	if len(pairs) == 0 {
-		return Snapshot{}, false, errors.New("jobs: empty batch")
 	}
 	if strings.ContainsRune(key, 0) {
 		return Snapshot{}, false, errors.New("jobs: idempotency key must not contain NUL bytes")
@@ -385,11 +400,7 @@ func (m *Manager) SubmitFor(pairs []dna.Pair, key, tenantID string) (snap Snapsh
 	if m.queue.len() >= m.cfg.MaxQueued {
 		return Snapshot{}, false, fmt.Errorf("%w (%d queued)", ErrQueueFull, m.cfg.MaxQueued)
 	}
-	data := make([]jobstore.PairData, len(pairs))
-	for i, p := range pairs {
-		data[i] = jobstore.PairData{X: p.X.String(), Y: p.Y.String()}
-	}
-	j, err := m.store.SubmitOwned(m.newJobID(), sk, tid, m.cfg.ChunkSize, data)
+	j, err := write(m.newJobID(), sk, tid)
 	if err != nil {
 		return Snapshot{}, false, err
 	}
@@ -399,15 +410,6 @@ func (m *Manager) SubmitFor(pairs []dna.Pair, key, tenantID string) (snap Snapsh
 	m.hub.publish(j.ID, EventState, m.snapshot(j))
 	m.queue.push(j.ID)
 	return m.snapshot(j), true, nil
-}
-
-// Get returns a snapshot of one job.
-func (m *Manager) Get(id string) (Snapshot, error) {
-	j, ok := m.store.Get(id)
-	if !ok {
-		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return m.snapshot(j), nil
 }
 
 // owned fetches a job iff the tenant owns it. Another tenant's job answers
@@ -420,7 +422,7 @@ func (m *Manager) owned(id, tenantID string) (*jobstore.Job, error) {
 	return j, nil
 }
 
-// GetFor is Get scoped to the owning tenant.
+// GetFor returns a snapshot of one of the tenant's jobs.
 func (m *Manager) GetFor(id, tenantID string) (Snapshot, error) {
 	j, err := m.owned(id, tenantID)
 	if err != nil {
@@ -429,67 +431,46 @@ func (m *Manager) GetFor(id, tenantID string) (Snapshot, error) {
 	return m.snapshot(j), nil
 }
 
-// ResultFor is Result scoped to the owning tenant.
+// ResultFor returns the assembled scores of one of the tenant's done
+// alignment jobs (see finished for the other states). A done search job
+// fails with ErrWrongKind.
 func (m *Manager) ResultFor(id, tenantID string) ([]int, Snapshot, error) {
-	if _, err := m.owned(id, tenantID); err != nil {
-		return nil, Snapshot{}, err
+	j, snap, err := m.finished(id, tenantID)
+	if j == nil {
+		return nil, snap, err
 	}
-	return m.Result(id)
+	scores, err := j.Scores()
+	return scores, snap, err
 }
 
-// CancelFor is Cancel scoped to the owning tenant.
-func (m *Manager) CancelFor(id, tenantID string) (Snapshot, error) {
-	if _, err := m.owned(id, tenantID); err != nil {
-		return Snapshot{}, err
-	}
-	return m.Cancel(id)
-}
-
-// EventsFor subscribes to a job's live progress feed, scoped to the owning
-// tenant. The subscription is seeded with a snapshot event carrying the
-// job's current progress (so a late subscriber replays the last
-// checkpoint), then receives a state event per transition and a chunk
-// event per checkpoint. The caller must Close the subscription.
-func (m *Manager) EventsFor(id, tenantID string) (*Sub, error) {
+// finished is the terminal-state mapping both result accessors share. It
+// returns the job only when it is done, for the caller to assemble its
+// result. A failed or cancelled job returns its snapshot and no error, so
+// the caller can surface the terminal reason; an unfinished job fails with
+// ErrNotReady.
+func (m *Manager) finished(id, tenantID string) (*jobstore.Job, Snapshot, error) {
 	j, err := m.owned(id, tenantID)
 	if err != nil {
-		return nil, err
-	}
-	return m.hub.subscribe(id, func() Snapshot {
-		if cur, ok := m.store.Get(id); ok {
-			return m.snapshot(cur)
-		}
-		return m.snapshot(j)
-	}), nil
-}
-
-// Result returns the assembled scores of a done job. Unfinished jobs fail
-// with ErrNotReady; failed/cancelled jobs return their snapshot alongside a
-// nil score slice so callers can surface the terminal reason.
-func (m *Manager) Result(id string) ([]int, Snapshot, error) {
-	j, ok := m.store.Get(id)
-	if !ok {
-		return nil, Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+		return nil, Snapshot{}, err
 	}
 	snap := m.snapshot(j)
 	switch j.State {
 	case jobstore.StateDone:
-		scores, err := j.Scores()
-		return scores, snap, err
+		return j, snap, nil
 	case jobstore.StateFailed, jobstore.StateCancelled:
 		return nil, snap, nil
 	}
 	return nil, snap, fmt.Errorf("%w: %s is %s", ErrNotReady, id, j.State)
 }
 
-// Cancel moves a job to cancelled. Queued jobs are cancelled in place (the
-// runner skips them); running jobs are cancelled authoritatively in the
-// store, and the runner's next write observes the terminal state and stops.
-// Cancelling an already-terminal job is a no-op.
-func (m *Manager) Cancel(id string) (Snapshot, error) {
-	j, ok := m.store.Get(id)
-	if !ok {
-		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+// CancelFor moves one of the tenant's jobs to cancelled. Queued jobs are
+// cancelled in place (the runner skips them); running jobs are cancelled
+// authoritatively in the store, and the runner's next write observes the
+// terminal state and stops. Cancelling an already-terminal job is a no-op.
+func (m *Manager) CancelFor(id, tenantID string) (Snapshot, error) {
+	j, err := m.owned(id, tenantID)
+	if err != nil {
+		return Snapshot{}, err
 	}
 	if j.State.Terminal() {
 		return m.snapshot(j), nil
@@ -510,6 +491,24 @@ func (m *Manager) Cancel(id string) (Snapshot, error) {
 	return m.snapshot(j), nil
 }
 
+// EventsFor subscribes to a job's live progress feed, scoped to the owning
+// tenant. The subscription is seeded with a snapshot event carrying the
+// job's current progress (so a late subscriber replays the last
+// checkpoint), then receives a state event per transition and a chunk
+// event per checkpoint. The caller must Close the subscription.
+func (m *Manager) EventsFor(id, tenantID string) (*Sub, error) {
+	j, err := m.owned(id, tenantID)
+	if err != nil {
+		return nil, err
+	}
+	return m.hub.subscribe(id, func() Snapshot {
+		if cur, ok := m.store.Get(id); ok {
+			return m.snapshot(cur)
+		}
+		return m.snapshot(j)
+	}), nil
+}
+
 // publishEvent publishes the job's current store state on its feed.
 func (m *Manager) publishEvent(id, typ string) {
 	if j, ok := m.store.Get(id); ok {
@@ -518,7 +517,7 @@ func (m *Manager) publishEvent(id, typ string) {
 }
 
 // BeginDrain stops runners at their next chunk boundary (requeueing their
-// jobs) and makes Submit fail fast. Queued jobs stay queued — they are
+// jobs) and makes submissions fail fast. Queued jobs stay queued — they are
 // durable and resume on the next start. Safe to call more than once.
 func (m *Manager) BeginDrain() {
 	m.drainOnce.Do(func() {
@@ -584,10 +583,39 @@ func (m *Manager) runner() {
 	}
 }
 
+// chunkStep is one job kind's part of the chunk loop, built once per job
+// run. run computes chunk c and returns the write that checkpoints it;
+// span names the chunk's trace span.
+type chunkStep struct {
+	span string
+	run  func(ctx context.Context, c int) (checkpoint func() error, err error)
+}
+
+// step builds the job's chunk step, or fails with the message the job
+// fails with.
+func (m *Manager) step(j *jobstore.Job) (chunkStep, error) {
+	if j.Kind == jobstore.KindSearch {
+		return m.searchStep(j)
+	}
+	return chunkStep{span: "jobs.chunk", run: func(ctx context.Context, c int) (func() error, error) {
+		lo, hi := j.ChunkBounds(c)
+		pairs, err := parsePairs(j.Pairs[lo:hi])
+		if err != nil {
+			return nil, err
+		}
+		res, err := m.cfg.Service.Align(ctx, pairs)
+		if err != nil {
+			return nil, err
+		}
+		return func() error { return m.store.AddChunk(j.ID, c, res.Scores) }, nil
+	}}, nil
+}
+
 // runJob executes one job chunk by chunk, checkpointing each completed
 // chunk. It resumes past chunks that are already checkpointed (recovery),
-// parks the job at a chunk boundary when draining, and converts service
-// errors into a failed state with a typed message.
+// parks the job at a chunk boundary when draining, and converts step
+// errors into a failed state with a typed message. Both job kinds run
+// here; only the step differs.
 func (m *Manager) runJob(id string) {
 	// Claim: queued → running. Losing this transition means the job was
 	// cancelled while queued — nothing to do.
@@ -606,7 +634,15 @@ func (m *Manager) runJob(id string) {
 	tr := obs.NewTrace("")
 	ctx := obs.WithTrace(m.baseCtx, tr)
 	endJob := tr.StartSpan("jobs.run." + id)
-
+	// stopped ends a run that writes no state of its own: finish has just
+	// written it, or the job was cancelled (or dropped) underneath us and
+	// the store already holds its terminal state.
+	stopped := func() {
+		endJob()
+		if m.cfg.Traces != nil {
+			m.cfg.Traces.Add(tr)
+		}
+	}
 	finish := func(to jobstore.State, msg string) {
 		if _, err := m.store.SetState(id, to, msg); err == nil {
 			switch to {
@@ -623,20 +659,22 @@ func (m *Manager) runJob(id string) {
 			m.publishEvent(id, EventState)
 		}
 		m.refreshStateGauges()
-		endJob()
-		if m.cfg.Traces != nil {
-			m.cfg.Traces.Add(tr)
-		}
+		stopped()
+	}
+	terminal := func() bool {
+		cur, ok := m.store.Get(id)
+		return ok && cur.State.Terminal()
 	}
 
-	if j.Kind == jobstore.KindSearch {
-		m.runSearchJob(ctx, id, j, tr, finish, endJob)
+	step, err := m.step(j)
+	if err != nil {
+		finish(jobstore.StateFailed, err.Error())
 		return
 	}
-
 	chunkLat := m.obs.Histogram("jobs_chunk_seconds", obs.LatencyBuckets)
-	for c := 0; c < j.NumChunks(); c++ {
-		if _, done := j.Chunks[c]; done {
+	n := j.NumChunks()
+	for c := 0; c < n; c++ {
+		if j.Checkpointed(c) {
 			// Checkpointed before a crash or drain: skip, never re-execute.
 			m.chunksSkipped.Add(1)
 			m.obs.Counter("jobs_chunks_skipped_total").Inc()
@@ -653,62 +691,41 @@ func (m *Manager) runJob(id string) {
 			return
 		}
 		if cur, ok := m.store.Get(id); !ok || cur.State != jobstore.StateRunning {
-			// Cancelled (or dropped) underneath us; the store already holds
-			// the terminal state.
-			endJob()
-			if m.cfg.Traces != nil {
-				m.cfg.Traces.Add(tr)
-			}
+			stopped()
 			return
 		}
 
-		lo, hi := j.ChunkBounds(c)
-		pairs, err := parsePairs(j.Pairs[lo:hi])
-		if err != nil {
-			finish(jobstore.StateFailed, fmt.Sprintf("chunk %d: %v", c, err))
-			return
-		}
 		chunkCtx, cancel := context.WithTimeout(ctx, m.cfg.ChunkTimeout)
-		endChunk := tr.StartSpan(fmt.Sprintf("jobs.chunk.%d", c))
+		endChunk := tr.StartSpan(fmt.Sprintf("%s.%d", step.span, c))
 		begin := time.Now()
-		res, err := m.cfg.Service.Align(chunkCtx, pairs)
+		checkpoint, err := step.run(chunkCtx, c)
 		cancel()
 		endChunk()
 		if err != nil {
-			if m.closing.Load() {
-				endJob()
-				return // crash semantics, see above
-			}
-			if cur, ok := m.store.Get(id); ok && cur.State.Terminal() {
-				endJob() // cancelled mid-chunk; state already terminal
-				if m.cfg.Traces != nil {
-					m.cfg.Traces.Add(tr)
-				}
-				return
-			}
 			switch {
+			case m.closing.Load():
+				endJob() // crash semantics, see above
+			case terminal():
+				stopped() // cancelled mid-chunk
 			case errors.Is(err, context.DeadlineExceeded):
 				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: deadline exceeded after %v",
-					c, j.NumChunks(), m.cfg.ChunkTimeout))
+					c, n, m.cfg.ChunkTimeout))
 			case errors.Is(err, context.Canceled):
-				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: canceled", c, j.NumChunks()))
+				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: canceled", c, n))
 			default:
-				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: %v", c, j.NumChunks(), err))
+				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: %v", c, n, err))
 			}
 			return
 		}
 		m.chunksExecuted.Add(1)
 		m.obs.Counter("jobs_chunks_executed_total").Inc()
 		chunkLat.ObserveDuration(time.Since(begin))
-		if err := m.store.AddChunk(id, c, res.Scores); err != nil {
-			if cur, ok := m.store.Get(id); ok && cur.State.Terminal() {
-				endJob() // cancelled between Align and checkpoint
-				if m.cfg.Traces != nil {
-					m.cfg.Traces.Add(tr)
-				}
-				return
+		if err := checkpoint(); err != nil {
+			if terminal() {
+				stopped() // cancelled between the chunk and its checkpoint
+			} else {
+				finish(jobstore.StateFailed, fmt.Sprintf("checkpoint chunk %d: %v", c, err))
 			}
-			finish(jobstore.StateFailed, fmt.Sprintf("checkpoint chunk %d: %v", c, err))
 			return
 		}
 		m.chunksCheckpointed.Add(1)

@@ -4,13 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/dna"
 	"repro/internal/jobstore"
-	"repro/internal/obs"
 )
 
 // Search-specific manager errors.
@@ -30,36 +27,12 @@ var (
 // candidate set — or fails typed if the corpus was rebuilt underneath
 // it. Idempotency keys and tenant quotas behave exactly as in SubmitFor.
 func (m *Manager) SubmitSearchFor(corpusName string, query dna.Seq, p corpus.Params, key, tenantID string) (snap Snapshot, created bool, err error) {
-	tid := normalizeTenant(tenantID)
-	if m.Draining() {
-		return Snapshot{}, false, ErrDraining
-	}
 	if len(query) == 0 {
 		return Snapshot{}, false, errors.New("jobs: empty query")
-	}
-	if strings.ContainsRune(key, 0) {
-		return Snapshot{}, false, errors.New("jobs: idempotency key must not contain NUL bytes")
 	}
 	h, ok := m.corpora().Get(corpusName)
 	if !ok {
 		return Snapshot{}, false, fmt.Errorf("%w: %q", ErrNoCorpus, corpusName)
-	}
-	sk := storeKey(tid, key)
-	if sk != "" {
-		if j, ok := m.store.ByKey(sk); ok && j.Tenant == tid {
-			m.dedupHits.Add(1)
-			m.obs.Counter("jobs_dedup_hits_total").Inc()
-			return m.snapshot(j), false, nil
-		}
-	}
-	if max := m.cfg.Tenants.MaxRunningJobs(tid); max > 0 {
-		if live := m.store.ActiveByTenant(tid); live >= max {
-			return Snapshot{}, false, fmt.Errorf("%w: tenant %q has %d live job(s), cap %d",
-				ErrQuota, displayTenant(tid), live, max)
-		}
-	}
-	if m.queue.len() >= m.cfg.MaxQueued {
-		return Snapshot{}, false, fmt.Errorf("%w (%d queued)", ErrQueueFull, m.cfg.MaxQueued)
 	}
 	p = p.Resolved(len(query))
 	spec := jobstore.SearchSpec{
@@ -71,16 +44,9 @@ func (m *Manager) SubmitSearchFor(corpusName string, query dna.Seq, p corpus.Par
 		MaxEdits:    p.MaxEdits,
 		SeqCount:    h.Corpus.Len(),
 	}
-	j, err := m.store.SubmitSearch(m.newJobID(), sk, tid, m.cfg.SearchChunkSize, spec)
-	if err != nil {
-		return Snapshot{}, false, err
-	}
-	m.submitted.Add(1)
-	m.obs.Counter("jobs_submitted_total").Inc()
-	m.refreshStateGauges()
-	m.hub.publish(j.ID, EventState, m.snapshot(j))
-	m.queue.push(j.ID)
-	return m.snapshot(j), true, nil
+	return m.submit(key, tenantID, func(id, sk, tid string) (*jobstore.Job, error) {
+		return m.store.SubmitSearch(id, sk, tid, m.cfg.SearchChunkSize, spec)
+	})
 }
 
 // corpora returns the configured corpus registry, or an empty one so
@@ -94,154 +60,62 @@ func (m *Manager) corpora() *corpus.Registry {
 
 var emptyCorpora = corpus.NewRegistry()
 
-// SearchResult returns the merged ranked hits of a done search job.
-// Unfinished jobs fail with ErrNotReady; failed/cancelled jobs return
-// their snapshot alongside nil hits (mirroring Result); alignment jobs
-// fail with ErrWrongKind.
-func (m *Manager) SearchResult(id string) ([]corpus.Hit, Snapshot, error) {
-	j, ok := m.store.Get(id)
-	if !ok {
-		return nil, Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	snap := m.snapshot(j)
-	if j.Kind != jobstore.KindSearch {
-		return nil, snap, fmt.Errorf("%w: job %s is an alignment job", ErrWrongKind, id)
-	}
-	switch j.State {
-	case jobstore.StateDone:
-		data, err := j.SearchHits()
-		if err != nil {
-			return nil, snap, err
-		}
-		hits := make([]corpus.Hit, len(data))
-		for i, h := range data {
-			hits[i] = corpus.Hit{ID: h.ID, Name: h.Name, Score: h.Score}
-		}
-		return hits, snap, nil
-	case jobstore.StateFailed, jobstore.StateCancelled:
-		return nil, snap, nil
-	}
-	return nil, snap, fmt.Errorf("%w: %s is %s", ErrNotReady, id, j.State)
-}
-
-// SearchResultFor is SearchResult scoped to the owning tenant.
+// SearchResultFor returns the merged ranked hits of one of the tenant's
+// done search jobs (see finished for the other states). A done alignment
+// job fails with ErrWrongKind.
 func (m *Manager) SearchResultFor(id, tenantID string) ([]corpus.Hit, Snapshot, error) {
-	if _, err := m.owned(id, tenantID); err != nil {
-		return nil, Snapshot{}, err
+	j, snap, err := m.finished(id, tenantID)
+	if j == nil {
+		return nil, snap, err
 	}
-	return m.SearchResult(id)
+	data, err := j.SearchHits()
+	if err != nil {
+		return nil, snap, err
+	}
+	hits := make([]corpus.Hit, len(data))
+	for i, h := range data {
+		hits[i] = corpus.Hit{ID: h.ID, Name: h.Name, Score: h.Score}
+	}
+	return hits, snap, nil
 }
 
-// runSearchJob executes a claimed search job chunk by chunk over the
-// corpus sequence-ID space, checkpointing each chunk's top-K hits. The
-// prefilter is recomputed up front — it is deterministic in (corpus,
-// query, params), all of which the WAL pins — so a resumed job sees the
-// identical candidate set and skips exactly its checkpointed chunks.
-// finish/endJob are runJob's state-transition closures.
-func (m *Manager) runSearchJob(ctx context.Context, id string, j *jobstore.Job, tr *obs.Trace,
-	finish func(jobstore.State, string), endJob func()) {
+// searchStep builds a search job's chunk step over the corpus sequence-ID
+// space: each chunk scores its share of the candidates and checkpoints
+// its top-K hits. The prefilter runs once, here — it is deterministic in
+// (corpus, query, params), all of which the WAL pins — so a resumed job
+// sees the identical candidate set and skips exactly its checkpointed
+// chunks.
+func (m *Manager) searchStep(j *jobstore.Job) (chunkStep, error) {
 	spec := j.Search
 	h, ok := m.corpora().Get(spec.Corpus)
 	if !ok {
-		finish(jobstore.StateFailed, fmt.Sprintf("corpus %q not mounted", spec.Corpus))
-		return
+		return chunkStep{}, fmt.Errorf("corpus %q not mounted", spec.Corpus)
 	}
 	if fp := h.Corpus.Fingerprint(); fp != spec.Fingerprint {
-		finish(jobstore.StateFailed, fmt.Sprintf(
+		return chunkStep{}, fmt.Errorf(
 			"corpus %q fingerprint %s does not match submit-time %s (corpus rebuilt?)",
-			spec.Corpus, fp, spec.Fingerprint))
-		return
+			spec.Corpus, fp, spec.Fingerprint)
 	}
 	if h.Corpus.Len() != spec.SeqCount {
-		finish(jobstore.StateFailed, fmt.Sprintf("corpus %q has %d sequences, submit-time %d",
-			spec.Corpus, h.Corpus.Len(), spec.SeqCount))
-		return
+		return chunkStep{}, fmt.Errorf("corpus %q has %d sequences, submit-time %d",
+			spec.Corpus, h.Corpus.Len(), spec.SeqCount)
 	}
 	q, err := dna.Parse(spec.Query)
 	if err != nil {
-		finish(jobstore.StateFailed, fmt.Sprintf("query: %v", err))
-		return
+		return chunkStep{}, fmt.Errorf("query: %w", err)
 	}
 	p := corpus.Params{TopK: spec.TopK, MinKmerHits: spec.MinKmerHits, MaxEdits: spec.MaxEdits}
 	cand := h.Corpus.Prefilter(q, p)
-
-	chunkLat := m.obs.Histogram("jobs_chunk_seconds", obs.LatencyBuckets)
-	for c := 0; c < j.NumChunks(); c++ {
-		if _, done := j.SearchChunks[c]; done {
-			// Checkpointed before a crash or drain: skip, never re-execute.
-			m.chunksSkipped.Add(1)
-			m.obs.Counter("jobs_chunks_skipped_total").Inc()
-			continue
-		}
-		if m.closing.Load() {
-			// Hard stop: leave the job running in the WAL, exactly like a
-			// crash; the next open recovers and resumes it.
-			endJob()
-			return
-		}
-		if m.Draining() {
-			finish(jobstore.StateQueued, "") // checkpoint-and-requeue
-			return
-		}
-		if cur, ok := m.store.Get(id); !ok || cur.State != jobstore.StateRunning {
-			endJob() // cancelled (or dropped) underneath us
-			if m.cfg.Traces != nil {
-				m.cfg.Traces.Add(tr)
-			}
-			return
-		}
-
+	return chunkStep{span: "jobs.search.chunk", run: func(ctx context.Context, c int) (func() error, error) {
 		lo, hi := j.ChunkBounds(c)
-		chunkCtx, cancel := context.WithTimeout(ctx, m.cfg.ChunkTimeout)
-		endChunk := tr.StartSpan(fmt.Sprintf("jobs.search.chunk.%d", c))
-		begin := time.Now()
-		hits, _, err := h.Searcher.ScoreRange(chunkCtx, q, cand.IDs, lo, hi, spec.TopK)
-		cancel()
-		endChunk()
+		hits, _, err := h.Searcher.ScoreRange(ctx, q, cand.IDs, lo, hi, spec.TopK)
 		if err != nil {
-			if m.closing.Load() {
-				endJob()
-				return // crash semantics, see above
-			}
-			if cur, ok := m.store.Get(id); ok && cur.State.Terminal() {
-				endJob() // cancelled mid-chunk; state already terminal
-				if m.cfg.Traces != nil {
-					m.cfg.Traces.Add(tr)
-				}
-				return
-			}
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: deadline exceeded after %v",
-					c, j.NumChunks(), m.cfg.ChunkTimeout))
-			case errors.Is(err, context.Canceled):
-				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: canceled", c, j.NumChunks()))
-			default:
-				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: %v", c, j.NumChunks(), err))
-			}
-			return
+			return nil, err
 		}
-		m.chunksExecuted.Add(1)
-		m.obs.Counter("jobs_chunks_executed_total").Inc()
-		chunkLat.ObserveDuration(time.Since(begin))
 		data := make([]jobstore.HitData, len(hits))
 		for i, ht := range hits {
 			data[i] = jobstore.HitData{ID: ht.ID, Name: ht.Name, Score: ht.Score}
 		}
-		if err := m.store.AddSearchChunk(id, c, data); err != nil {
-			if cur, ok := m.store.Get(id); ok && cur.State.Terminal() {
-				endJob() // cancelled between scoring and checkpoint
-				if m.cfg.Traces != nil {
-					m.cfg.Traces.Add(tr)
-				}
-				return
-			}
-			finish(jobstore.StateFailed, fmt.Sprintf("checkpoint chunk %d: %v", c, err))
-			return
-		}
-		m.chunksCheckpointed.Add(1)
-		m.obs.Counter("jobs_chunks_checkpointed_total").Inc()
-		m.publishEvent(id, EventChunk)
-	}
-	finish(jobstore.StateDone, "")
+		return func() error { return m.store.AddSearchChunk(j.ID, c, data) }, nil
+	}}, nil
 }

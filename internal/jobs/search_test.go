@@ -101,7 +101,7 @@ func TestSearchJobRunsToCompletion(t *testing.T) {
 	}
 
 	waitState(t, m, snap.ID, jobstore.StateDone, 10*time.Second)
-	hits, res, err := m.SearchResult(snap.ID)
+	hits, res, err := m.SearchResultFor(snap.ID, "")
 	if err != nil || res.State != jobstore.StateDone {
 		t.Fatalf("search result: %v (%+v)", err, res)
 	}
@@ -120,7 +120,7 @@ func TestSearchJobRunsToCompletion(t *testing.T) {
 	}
 
 	// Result() on a search job is a typed kind mismatch.
-	if _, _, err := m.Result(snap.ID); !errors.Is(err, ErrWrongKind) {
+	if _, _, err := m.ResultFor(snap.ID, ""); !errors.Is(err, ErrWrongKind) {
 		t.Errorf("Result on search job: %v, want ErrWrongKind", err)
 	}
 }
@@ -172,7 +172,7 @@ func TestSearchJobResumesFromCheckpoints(t *testing.T) {
 	// Wait for at least one checkpoint, then hard-stop.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		s, err := m1.Get(snap.ID)
+		s, err := m1.GetFor(snap.ID, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestSearchJobResumesFromCheckpoints(t *testing.T) {
 	if st := m2.Stats(); st.Recovered < 1 || st.ChunksSkipped < 1 {
 		t.Fatalf("recovery stats: recovered=%d skipped=%d, want ≥1 each", st.Recovered, st.ChunksSkipped)
 	}
-	hits, _, err := m2.SearchResult(snap.ID)
+	hits, _, err := m2.SearchResultFor(snap.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestSearchJobFingerprintMismatch(t *testing.T) {
 	defer m.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		s, err := m.Get("job-fp")
+		s, err := m.GetFor("job-fp", "")
 		if err != nil {
 			t.Fatal(err)
 		}

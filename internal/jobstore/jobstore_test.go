@@ -33,7 +33,7 @@ func TestSubmitGetByKey(t *testing.T) {
 	if rep.Records != 0 || rep.Jobs != 0 {
 		t.Fatalf("fresh dir replay: %+v", rep)
 	}
-	j, err := s.Submit("j1", "key-1", 4, testPairs(10))
+	j, err := s.SubmitOwned("j1", "key-1", "", 4, testPairs(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSubmitGetByKey(t *testing.T) {
 	if !ok || byKey.ID != "j1" {
 		t.Fatalf("ByKey: %+v ok=%v", byKey, ok)
 	}
-	if _, err := s.Submit("j1", "", 4, testPairs(1)); err == nil {
+	if _, err := s.SubmitOwned("j1", "", "", 4, testPairs(1)); err == nil {
 		t.Fatal("duplicate job ID accepted")
 	}
 }
@@ -59,7 +59,7 @@ func TestSubmitGetByKey(t *testing.T) {
 func TestStateMachineTransitions(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir())
 	defer s.Close()
-	if _, err := s.Submit("j", "", 2, testPairs(4)); err != nil {
+	if _, err := s.SubmitOwned("j", "", "", 2, testPairs(4)); err != nil {
 		t.Fatal(err)
 	}
 	// queued → done is illegal.
@@ -94,7 +94,7 @@ func TestStateMachineTransitions(t *testing.T) {
 func TestChunkCheckpointsAndScores(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir())
 	defer s.Close()
-	if _, err := s.Submit("j", "", 3, testPairs(7)); err != nil {
+	if _, err := s.SubmitOwned("j", "", "", 3, testPairs(7)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SetState("j", StateRunning, ""); err != nil {
@@ -142,10 +142,10 @@ func TestChunkCheckpointsAndScores(t *testing.T) {
 func TestReplayRebuildsState(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
-	if _, err := s.Submit("a", "ka", 2, testPairs(4)); err != nil {
+	if _, err := s.SubmitOwned("a", "ka", "", 2, testPairs(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit("b", "kb", 2, testPairs(2)); err != nil {
+	if _, err := s.SubmitOwned("b", "kb", "", 2, testPairs(2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SetState("a", StateRunning, ""); err != nil {
@@ -186,7 +186,7 @@ func TestReplayRebuildsState(t *testing.T) {
 func TestDropGC(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
-	if _, err := s.Submit("j", "k", 2, testPairs(2)); err != nil {
+	if _, err := s.SubmitOwned("j", "k", "", 2, testPairs(2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Drop("j"); !errors.Is(err, ErrBadTransition) {
@@ -219,7 +219,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := s.Submit(fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := s.SubmitOwned(fmt.Sprintf("j%d", i), "", "", 4, testPairs(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
 	for i := 0; i < 3; i++ {
-		if _, err := s.Submit(fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := s.SubmitOwned(fmt.Sprintf("j%d", i), "", "", 4, testPairs(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func TestTornTailTruncation(t *testing.T) {
 	if _, ok := s2.Get("j2"); ok {
 		t.Fatal("torn job j2 survived")
 	}
-	if _, err := s2.Submit("j3", "", 4, testPairs(4)); err != nil {
+	if _, err := s2.SubmitOwned("j3", "", "", 4, testPairs(4)); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -287,7 +287,7 @@ func TestMidLogCorruptionStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := s.Submit(fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := s.SubmitOwned(fmt.Sprintf("j%d", i), "", "", 4, testPairs(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +327,7 @@ func TestSyncPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Submit("j", "", 1, testPairs(1)); err != nil {
+			if _, err := s.SubmitOwned("j", "", "", 1, testPairs(1)); err != nil {
 				t.Fatal(err)
 			}
 			if pol == SyncInterval {
@@ -376,7 +376,7 @@ func TestStateCountsAndList(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir())
 	defer s.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := s.Submit(fmt.Sprintf("j%d", i), "", 1, testPairs(1)); err != nil {
+		if _, err := s.SubmitOwned(fmt.Sprintf("j%d", i), "", "", 1, testPairs(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,7 +420,7 @@ func TestDirSyncedOnSegmentLifecycle(t *testing.T) {
 	before := calls
 	start := s.w.segNum
 	for i := 0; calls == before && i < 64; i++ {
-		if _, err := s.Submit(fmt.Sprintf("sync%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := s.SubmitOwned(fmt.Sprintf("sync%d", i), "", "", 4, testPairs(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -443,7 +443,7 @@ func TestDirSyncedOnSegmentLifecycle(t *testing.T) {
 	s.w.syncDir = func(string) error { return fmt.Errorf("boom") }
 	var rotateErr error
 	for i := 0; i < 64; i++ {
-		if _, err := s.Submit(fmt.Sprintf("fail%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := s.SubmitOwned(fmt.Sprintf("fail%d", i), "", "", 4, testPairs(4)); err != nil {
 			rotateErr = err
 			break
 		}
@@ -484,7 +484,7 @@ func TestTenantOwnershipSurvivesReplay(t *testing.T) {
 	if _, err := s.SubmitOwned("t2", "", "acme", 2, testPairs(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit("t3", "", 2, testPairs(2)); err != nil {
+	if _, err := s.SubmitOwned("t3", "", "", 2, testPairs(2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ActiveByTenant("acme"); got != 2 {

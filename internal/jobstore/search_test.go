@@ -149,7 +149,7 @@ func TestSearchHitsMissingChunk(t *testing.T) {
 		t.Error("SearchHits with no checkpoints: want error")
 	}
 	// And the wrong-kind direction: SearchHits on an alignment job.
-	if _, err := s.Submit("job-a", "", 2, []PairData{{X: "AC", Y: "GT"}}); err != nil {
+	if _, err := s.SubmitOwned("job-a", "", "", 2, []PairData{{X: "AC", Y: "GT"}}); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := s.Get("job-a")

@@ -143,6 +143,13 @@ func (j *Job) ChunkBounds(idx int) (lo, hi int) {
 // ChunksDone counts checkpointed chunks of either kind.
 func (j *Job) ChunksDone() int { return len(j.Chunks) + len(j.SearchChunks) }
 
+// Checkpointed reports whether chunk idx holds a checkpoint of either kind.
+func (j *Job) Checkpointed(idx int) bool {
+	_, scores := j.Chunks[idx]
+	_, hits := j.SearchChunks[idx]
+	return scores || hits
+}
+
 // Scores assembles an alignment job's final score slice from the chunk
 // checkpoints, failing if any chunk is missing or misshapen.
 func (j *Job) Scores() ([]int, error) {
@@ -431,15 +438,10 @@ func (s *Store) appendLocked(rec Record) error {
 	return nil
 }
 
-// Submit persists a new job in StateQueued owned by the anonymous tenant.
-// The ID must be unused.
-func (s *Store) Submit(id, key string, chunkSize int, pairs []PairData) (*Job, error) {
-	return s.SubmitOwned(id, key, "", chunkSize, pairs)
-}
-
-// SubmitOwned persists a new job in StateQueued owned by a tenant. The
-// tenant ID is written to the WAL, so ownership (and any per-tenant
-// running-job quota derived from it) survives replay.
+// SubmitOwned persists a new alignment job in StateQueued owned by a
+// tenant ("" = the anonymous tenant). The ID must be unused. The tenant
+// ID is written to the WAL, so ownership (and any per-tenant running-job
+// quota derived from it) survives replay.
 func (s *Store) SubmitOwned(id, key, tenant string, chunkSize int, pairs []PairData) (*Job, error) {
 	if id == "" || chunkSize <= 0 || len(pairs) == 0 {
 		return nil, fmt.Errorf("jobstore: submit needs id, positive chunk size and pairs")

@@ -94,8 +94,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.Draining() {
-		s.drainRefusals.Add(1)
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		s.refuseDraining(w, r)
 		return
 	}
 	t := s.resolveTenant(w, r)
@@ -110,20 +109,17 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	// The same token buckets as /align guard the async door: a tenant
 	// cannot dodge its rate limits by submitting jobs instead. Search
-	// jobs charge their post-prefilter candidate cells, like /search.
-	if ok, wait := t.AllowRequest(); !ok {
-		s.rejectRateLimited(w, r, t, wait, "request rate limit")
-		return
-	}
-	var cells float64
+	// jobs charge their post-prefilter candidate cells, like /search. A
+	// job takes no execution slot here: the manager's runner pool and
+	// queue bound admit it.
+	cells := func() int64 { return alignsvc.Cells(sub.pairs) }
 	if sub.search {
-		cand := sub.handle.Corpus.Prefilter(sub.query, sub.params)
-		cells = float64(candidateCells(sub.handle.Corpus, len(sub.query), cand))
-	} else {
-		cells = float64(alignsvc.Cells(sub.pairs))
+		cells = func() int64 {
+			c := sub.handle.Corpus
+			return candidateCells(c, len(sub.query), c.Prefilter(sub.query, sub.params))
+		}
 	}
-	if ok, wait := t.AllowCells(cells); !ok {
-		s.rejectRateLimited(w, r, t, wait, "cell rate limit")
+	if _, ok := s.admit(w, r, t, cells, false); !ok {
 		return
 	}
 	var (
@@ -146,15 +142,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			ReasonQuotaExceeded, err.Error())
 		return
 	case errors.Is(err, jobs.ErrQueueFull):
-		s.shed.Add(1)
-		s.tenantOutcome(t.ID, "shed")
-		setRetryAfter(w, s.sched.RetryAfterHint(s.cfg.RetryAfter))
-		s.writeErrorReason(w, r, http.StatusTooManyRequests, CodeShed, ReasonQueueFull,
-			err.Error())
+		s.refuseShed(w, r, t.ID, err.Error())
 		return
 	case errors.Is(err, jobs.ErrDraining):
-		s.drainRefusals.Add(1)
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		s.refuseDraining(w, r)
 		return
 	case err != nil:
 		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
@@ -207,55 +198,34 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobResult answers with the assembled scores of a done job — or,
-// for a search job, its merged ranked hits — or a typed error explaining
-// why there are none (yet, or ever).
+// handleJobResult answers with the assembled scores of a done alignment
+// job or the merged ranked hits of a done search job, or a typed error
+// explaining why there are none (yet, or ever). The manager's result
+// accessors map the job's state; a done job of the other kind answers
+// ErrWrongKind, which switches to the search accessor.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id, tenantID string) {
 	scores, snap, err := s.cfg.Jobs.ResultFor(id, tenantID)
+	var body any = JobResultResponse{Job: snap, Scores: scores}
 	if errors.Is(err, jobs.ErrWrongKind) {
-		s.handleSearchJobResult(w, r, id, tenantID)
-		return
-	}
-	if err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	if scores == nil {
-		// Terminal without a result: failed or cancelled.
-		if snap.Error != "" {
-			s.writeError(w, r, http.StatusConflict, CodeJobFailed,
-				fmt.Sprintf("job %s failed: %s", id, snap.Error))
-		} else {
-			s.writeError(w, r, http.StatusConflict, CodeJobCancelled,
-				fmt.Sprintf("job %s was cancelled", id))
+		var hits []corpus.Hit
+		hits, snap, err = s.cfg.Jobs.SearchResultFor(id, tenantID)
+		if hits == nil {
+			hits = []corpus.Hit{}
 		}
-		return
+		body = SearchJobResultResponse{Job: snap, Hits: hits}
 	}
-	writeJSON(w, http.StatusOK, JobResultResponse{Job: snap, Scores: scores})
-}
-
-// handleSearchJobResult is handleJobResult for kind "search": same
-// terminal-state mapping, hits instead of scores.
-func (s *Server) handleSearchJobResult(w http.ResponseWriter, r *http.Request, id, tenantID string) {
-	hits, snap, err := s.cfg.Jobs.SearchResultFor(id, tenantID)
-	if err != nil {
+	switch {
+	case err != nil:
 		s.writeJobError(w, r, err)
-		return
+	case snap.State == jobstore.StateDone:
+		writeJSON(w, http.StatusOK, body)
+	case snap.Error != "": // terminal without a result: failed...
+		s.writeError(w, r, http.StatusConflict, CodeJobFailed,
+			fmt.Sprintf("job %s failed: %s", id, snap.Error))
+	default: // ...or cancelled
+		s.writeError(w, r, http.StatusConflict, CodeJobCancelled,
+			fmt.Sprintf("job %s was cancelled", id))
 	}
-	if hits == nil && snap.State.Terminal() && snap.State != jobstore.StateDone {
-		if snap.Error != "" {
-			s.writeError(w, r, http.StatusConflict, CodeJobFailed,
-				fmt.Sprintf("job %s failed: %s", id, snap.Error))
-		} else {
-			s.writeError(w, r, http.StatusConflict, CodeJobCancelled,
-				fmt.Sprintf("job %s was cancelled", id))
-		}
-		return
-	}
-	if hits == nil {
-		hits = []corpus.Hit{}
-	}
-	writeJSON(w, http.StatusOK, SearchJobResultResponse{Job: snap, Hits: hits})
 }
 
 // handleJobEvents streams a job's progress feed as Server-Sent Events: a
@@ -320,14 +290,8 @@ func (s *Server) writeJobError(w http.ResponseWriter, r *http.Request, err error
 // identical caps.
 func (s *Server) parseJobRequest(w http.ResponseWriter, r *http.Request) (sub jobSubmission, status int, code string, err error) {
 	var req JobSubmitRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return sub, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		}
-		return sub, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad JSON: %w", err)
+	if status, code, err := s.decodeJSON(w, r, &req); err != nil {
+		return sub, status, code, err
 	}
 	sub.key = req.IdempotencyKey
 	if h := r.Header.Get("Idempotency-Key"); h != "" {

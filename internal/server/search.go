@@ -11,17 +11,14 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/dna"
 	"repro/internal/obs"
-	"repro/internal/tenant"
 )
 
 // CodeNoCorpus rejects a search naming an unmounted corpus (404: the
@@ -146,9 +143,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.searchRequests.Add(1)
 	if s.Draining() {
-		s.drainRefusals.Add(1)
-		s.admissionOutcome("draining")
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		s.refuseDraining(w, r)
 		return
 	}
 	t := s.resolveTenant(w, r)
@@ -158,16 +153,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer obs.FromContext(r.Context()).StartSpan("tenant." + t.ID)()
 
 	var req SearchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if status, code, err := s.decodeJSON(w, r, &req); err != nil {
 		s.rejected.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return
-		}
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad JSON: %v", err))
+		s.writeError(w, r, status, code, err.Error())
 		return
 	}
 	h, err := s.corpusHandle(req.Corpus)
@@ -184,55 +172,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	p := corpus.Params{TopK: req.TopK, MinKmerHits: req.MinKmerHits, MaxEdits: req.MaxEdits}
 
-	// One request token, then the post-prefilter candidate cells. The
-	// prefilter runs before admission because its candidates are the
-	// price. It is pure, but not cheap: for 64-base queries over 16k
-	// sequences it is 93-96% of the handler's time on a 2-vCPU host
-	// (posting-list walks, then bitap over thousands of k-mer
-	// survivors), against a handful of SW pairs. So it runs once: the
-	// candidates priced here are the candidates SearchCandidates scores.
-	if ok, wait := t.AllowRequest(); !ok {
-		s.rejectRateLimited(w, r, t, wait, "request rate limit")
+	// The price is the post-prefilter candidate cells, so the prefilter
+	// runs inside admission, after the request token. It is pure, but not
+	// cheap: for 64-base queries over 16k sequences it is 93-96% of the
+	// handler's time on a 2-vCPU host (posting-list walks, then bitap over
+	// thousands of k-mer survivors), against a handful of SW pairs. So it
+	// runs once: the candidates priced here are the candidates
+	// SearchCandidates scores.
+	var cand corpus.Candidates
+	release, ok := s.admit(w, r, t, func() int64 {
+		cand = h.Corpus.Prefilter(q, p)
+		return candidateCells(h.Corpus, len(q), cand)
+	}, true)
+	if !ok {
 		return
 	}
-	cand := h.Corpus.Prefilter(q, p)
-	if ok, wait := t.AllowCells(float64(candidateCells(h.Corpus, len(q), cand))); !ok {
-		s.rejectRateLimited(w, r, t, wait, "cell rate limit")
-		return
-	}
-
-	waitBegin := time.Now()
-	release, admit := s.sched.Admit(r.Context(), t.ID)
-	s.obs.Histogram(obs.L("tenant_admission_wait_seconds", "tenant", t.ID),
-		obs.LatencyBuckets).Observe(time.Since(waitBegin).Seconds())
-	switch admit {
-	case tenant.AdmitShed:
-		s.shed.Add(1)
-		s.admissionOutcome("shed")
-		s.tenantOutcome(t.ID, "shed")
-		setRetryAfter(w, s.sched.RetryAfterHint(s.cfg.RetryAfter))
-		s.writeErrorReason(w, r, http.StatusTooManyRequests, CodeShed, ReasonQueueFull,
-			fmt.Sprintf("admission queue full for tenant %q", t.ID))
-		return
-	case tenant.AdmitDraining:
-		s.drainRefusals.Add(1)
-		s.admissionOutcome("draining")
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	case tenant.AdmitCtxDone:
-		s.admissionOutcome("canceled")
-		s.writeError(w, r, statusClientClosedRequest, CodeCanceled, "client went away while queued")
-		return
-	}
-	s.admissionOutcome("ok")
-	s.tenantOutcome(t.ID, "ok")
 	defer release()
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
 	res, err := h.Searcher.SearchCandidates(ctx, q, p, cand)
 	if err != nil {

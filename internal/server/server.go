@@ -313,10 +313,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.obs.Help("http_requests_total", "HTTP requests by route and status code.")
 	s.obs.Help("http_request_seconds", "HTTP request wall time by route.")
-	s.obs.Help("server_admission_total", "Align admission decisions by outcome.")
-	s.obs.Help("server_inflight", "Align requests executing right now.")
-	s.obs.Help("server_queued", "Align requests waiting for an execution slot.")
-	s.obs.Help("tenant_requests_total", "Align admission outcomes by tenant.")
+	s.obs.Help("server_admission_total", "Admission decisions on /align, /search and /jobs by outcome; ok counts execution slots granted.")
+	s.obs.Help("server_inflight", "Requests holding an execution slot right now.")
+	s.obs.Help("server_queued", "Requests waiting for an execution slot.")
+	s.obs.Help("tenant_requests_total", "Admission outcomes by tenant.")
 	s.obs.Help("tenant_admission_wait_seconds", "Admission queue wait by tenant.")
 	s.obs.Help("tenant_inflight", "Execution slots held right now, by tenant.")
 	s.obs.Help("tenant_queued", "Admission waiters right now, by tenant.")
@@ -558,9 +558,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if s.Draining() {
-		s.drainRefusals.Add(1)
-		s.admissionOutcome("draining")
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		s.refuseDraining(w, r)
 		return
 	}
 
@@ -589,46 +587,10 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-tenant rate limits: one request token, then the batch's DP-cell
-	// mass. Both are token buckets, so the refusal carries the bucket's own
-	// refill time — that, not a fixed guess, becomes Retry-After.
-	if ok, wait := t.AllowRequest(); !ok {
-		s.rejectRateLimited(w, r, t, wait, "request rate limit")
+	release, ok := s.admit(w, r, t, func() int64 { return alignsvc.Cells(pairs) }, true)
+	if !ok {
 		return
 	}
-	if ok, wait := t.AllowCells(float64(alignsvc.Cells(pairs))); !ok {
-		s.rejectRateLimited(w, r, t, wait, "cell rate limit")
-		return
-	}
-
-	// Admission: ask the weighted-fair scheduler for an execution slot. A
-	// backlogged tenant waits in its own bounded FIFO and is shed beyond it;
-	// Retry-After on shed comes from the observed queue drain rate.
-	waitBegin := time.Now()
-	release, admit := s.sched.Admit(r.Context(), t.ID)
-	s.obs.Histogram(obs.L("tenant_admission_wait_seconds", "tenant", t.ID),
-		obs.LatencyBuckets).Observe(time.Since(waitBegin).Seconds())
-	switch admit {
-	case tenant.AdmitShed:
-		s.shed.Add(1)
-		s.admissionOutcome("shed")
-		s.tenantOutcome(t.ID, "shed")
-		setRetryAfter(w, s.sched.RetryAfterHint(s.cfg.RetryAfter))
-		s.writeErrorReason(w, r, http.StatusTooManyRequests, CodeShed, ReasonQueueFull,
-			fmt.Sprintf("admission queue full for tenant %q", t.ID))
-		return
-	case tenant.AdmitDraining:
-		s.drainRefusals.Add(1)
-		s.admissionOutcome("draining")
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	case tenant.AdmitCtxDone:
-		s.admissionOutcome("canceled")
-		s.writeError(w, r, statusClientClosedRequest, CodeCanceled, "client went away while queued")
-		return
-	}
-	s.admissionOutcome("ok")
-	s.tenantOutcome(t.ID, "ok")
 	defer release()
 
 	// Deadline propagation: the request context (client disconnects) plus
@@ -707,9 +669,8 @@ func (s *Server) handleClusterWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.WarmRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad JSON: %v", err))
+	if status, code, err := s.decodeJSON(w, r, &req); err != nil {
+		s.writeError(w, r, status, code, err.Error())
 		return
 	}
 	if len(req.Pairs) != len(req.Scores) {
@@ -750,14 +711,8 @@ func (s *Server) handleClusterWarm(w http.ResponseWriter, r *http.Request) {
 // reject with.
 func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (pairs []dna.Pair, timeout time.Duration, status int, code string, err error) {
 	var req AlignRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, 0, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		}
-		return nil, 0, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad JSON: %w", err)
+	if status, code, err := s.decodeJSON(w, r, &req); err != nil {
+		return nil, 0, status, code, err
 	}
 
 	switch {
@@ -779,11 +734,31 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (pairs []d
 			errors.New("request needs pairs or preset")
 	}
 
-	timeout = s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+	return pairs, s.timeout(req.TimeoutMS), 0, "", nil
+}
+
+// timeout is a request's deadline: timeout_ms when set, capped at
+// MaxTimeout, else DefaultTimeout.
+func (s *Server) timeout(ms int64) time.Duration {
+	if ms > 0 {
+		return min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
 	}
-	return pairs, timeout, 0, "", nil
+	return s.cfg.DefaultTimeout
+}
+
+// decodeJSON decodes the request body, capped at MaxBodyBytes, into v —
+// the one decode every JSON route shares. The error comes typed for
+// writeError: 413 too_large past the cap, 400 bad_request otherwise.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) (status int, code string, err error) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, CodeTooLarge,
+				fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBodyBytes)
+		}
+		return http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad JSON: %w", err)
+	}
+	return 0, "", nil
 }
 
 // parsePairs converts and bounds client-supplied pairs. The pipeline wants
@@ -863,6 +838,69 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) *tenant.T
 		return nil
 	}
 	return t
+}
+
+// admit runs a request through tenant admission, the gate /align, /search
+// and /jobs share. First one request token, then the request's DP-cell
+// mass: both are token buckets, so a refusal carries the bucket's own
+// refill time as Retry-After. cells is called only once the token is
+// granted, so /search runs its prefilter only for a request that may go
+// on. With slot set, the request then waits for an execution slot from
+// the weighted-fair scheduler: a backlogged tenant waits in its own
+// bounded FIFO and is shed beyond it, with Retry-After from the observed
+// queue drain rate. On refusal admit writes the answer and returns
+// ok=false; otherwise the caller must call release (a no-op without a
+// slot).
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, t *tenant.Tenant, cells func() int64, slot bool) (release func(), ok bool) {
+	if ok, wait := t.AllowRequest(); !ok {
+		s.rejectRateLimited(w, r, t, wait, "request rate limit")
+		return nil, false
+	}
+	if ok, wait := t.AllowCells(float64(cells())); !ok {
+		s.rejectRateLimited(w, r, t, wait, "cell rate limit")
+		return nil, false
+	}
+	if !slot {
+		return func() {}, true
+	}
+	waitBegin := time.Now()
+	release, res := s.sched.Admit(r.Context(), t.ID)
+	s.obs.Histogram(obs.L("tenant_admission_wait_seconds", "tenant", t.ID),
+		obs.LatencyBuckets).Observe(time.Since(waitBegin).Seconds())
+	switch res {
+	case tenant.AdmitShed:
+		s.refuseShed(w, r, t.ID, fmt.Sprintf("admission queue full for tenant %q", t.ID))
+		return nil, false
+	case tenant.AdmitDraining:
+		s.refuseDraining(w, r)
+		return nil, false
+	case tenant.AdmitCtxDone:
+		s.admissionOutcome("canceled")
+		s.writeError(w, r, statusClientClosedRequest, CodeCanceled, "client went away while queued")
+		return nil, false
+	}
+	s.admissionOutcome("ok")
+	s.tenantOutcome(t.ID, "ok")
+	return release, true
+}
+
+// refuseDraining answers 503 draining and counts the refusal in /statsz
+// and server_admission_total alike.
+func (s *Server) refuseDraining(w http.ResponseWriter, r *http.Request) {
+	s.drainRefusals.Add(1)
+	s.admissionOutcome("draining")
+	s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+}
+
+// refuseShed answers 429 shed (reason queue_full) with a Retry-After
+// from the observed queue drain rate, and counts the refusal in /statsz,
+// server_admission_total and the tenant's outcomes alike.
+func (s *Server) refuseShed(w http.ResponseWriter, r *http.Request, tenantID, msg string) {
+	s.shed.Add(1)
+	s.admissionOutcome("shed")
+	s.tenantOutcome(tenantID, "shed")
+	setRetryAfter(w, s.sched.RetryAfterHint(s.cfg.RetryAfter))
+	s.writeErrorReason(w, r, http.StatusTooManyRequests, CodeShed, ReasonQueueFull, msg)
 }
 
 // rejectRateLimited writes the typed 429 for an empty token bucket, with
